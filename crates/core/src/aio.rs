@@ -254,6 +254,10 @@ impl AsyncDatabase {
     /// like any other scheduler abort. The same
     /// [`SchedulerConfig::max_retries`] budget applies: once exhausted the
     /// runner returns [`CoreError::RetriesExhausted`] instead of looping.
+    /// Unlike the threaded runner it backs off before each retry, by
+    /// yielding to the executor a deterministic, id-hashed number of times
+    /// that doubles its range with every attempt (the *Backoff* paragraph
+    /// of the same table says why).
     ///
     /// ```
     /// use sbcc_core::aio::{block_on, AsyncDatabase};
@@ -313,6 +317,11 @@ impl AsyncDatabase {
             if attempts > max_retries {
                 return Err(CoreError::RetriesExhausted { txn: id, attempts });
             }
+            // Back off before retrying: two mirrored bodies retried at
+            // once on one executor re-create their deadlock in lockstep.
+            for _ in 0..retry_yields(id, attempts) {
+                yield_now().await;
+            }
         }
     }
 
@@ -351,6 +360,16 @@ impl AsyncDatabase {
     pub fn check_invariants(&self) -> Result<(), String> {
         self.db.check_invariants()
     }
+}
+
+/// Executor yields [`AsyncDatabase::run`] makes before retrying after
+/// failed attempt number `attempts` of transaction `id`:
+/// `1 + h(id) mod 2^min(attempts, 10)`, with `h` a multiplicative hash of
+/// the id. Randomized exponential backoff without a random source, so
+/// deterministic schedules stay reproducible.
+fn retry_yields(id: TxnId, attempts: usize) -> u64 {
+    let h = id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    1 + h % (1u64 << attempts.min(10))
 }
 
 // ---------------------------------------------------------------------
@@ -1140,6 +1159,57 @@ mod tests {
         executor.run();
         assert_eq!(executor.pending_tasks(), 0);
         assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 10, 11, 12, 13]);
+    }
+
+    /// Two mirrored bodies on one executor: each pops one stack, then
+    /// pushes and pops the other. Retried immediately, the loser of each
+    /// deadlock restarts in lockstep with the winner and the pair
+    /// deadlocks again on every attempt until the budget runs out; the
+    /// backoff before each retry breaks the symmetry.
+    #[test]
+    fn mirrored_deadlocking_run_bodies_both_commit() {
+        let db = AsyncDatabase::new(
+            SchedulerConfig::default()
+                .with_policy(ConflictPolicy::Recoverability)
+                .with_max_retries(200),
+        );
+        let a = db.register("a", Stack::new());
+        let b = db.register("b", Stack::new());
+        let executor = LocalExecutor::new();
+        let attempts = Rc::new(Cell::new(0u32));
+        let results = Rc::new(RefCell::new(Vec::new()));
+        for (x, y) in [(a.clone(), b.clone()), (b, a)] {
+            let (db, attempts, results) = (db.clone(), attempts.clone(), results.clone());
+            executor.spawn(async move {
+                let result = db
+                    .run(|txn| {
+                        let (x, y, attempts) = (x.clone(), y.clone(), attempts.clone());
+                        async move {
+                            attempts.set(attempts.get() + 1);
+                            txn.exec(&x, StackOp::Pop).await?;
+                            yield_now().await;
+                            txn.exec(&y, StackOp::Push(Value::Int(1))).await?;
+                            yield_now().await;
+                            txn.exec(&y, StackOp::Pop).await
+                        }
+                    })
+                    .await;
+                results.borrow_mut().push(result);
+            });
+        }
+        executor.run();
+        let results = results.borrow();
+        assert_eq!(results.len(), 2);
+        for result in results.iter() {
+            assert_eq!(result, &Ok(OpResult::Value(Value::Int(1))));
+        }
+        assert!(
+            attempts.get() <= 6,
+            "mirrored bodies took {} attempts",
+            attempts.get()
+        );
+        assert_eq!(db.stats().commits, 2);
+        db.verify_serializable().unwrap();
     }
 
     #[test]

@@ -779,6 +779,15 @@ impl Database {
     /// | Explicit aborts, validation errors, aborts of *other* transactions the body propagates | any other [`CoreError`] | no — returned as-is |
     /// | Retry budget exhausted: a retryable class above recurred more than [`SchedulerConfig::max_retries`] times | [`CoreError::RetriesExhausted`] | no — the livelock guardrail |
     ///
+    /// **Backoff.** The async runner yields to its executor
+    /// `1 + h(id) mod 2^min(attempts, 10)` times before each retry (`h` a
+    /// multiplicative hash of the failed attempt's id, so schedules stay
+    /// deterministic). On a single-threaded executor, two mirrored bodies
+    /// retried at once re-create their deadlock in lockstep and can burn
+    /// the whole budget; the staggered restart breaks the symmetry. This
+    /// threaded runner keeps retrying immediately: its sessions run on
+    /// separate OS threads, whose scheduling already breaks the lockstep.
+    ///
     /// The `InvalidState { state: Aborted }` row is safe to classify as a
     /// scheduler abort because the guard API gives the closure no way to
     /// abort its own transaction and keep running — only the scheduler can

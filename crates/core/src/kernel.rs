@@ -38,19 +38,12 @@ use std::sync::Arc;
 /// Compact record kept for a terminated transaction after its full
 /// [`TxnRecord`] has been dropped (keeping the full record for every
 /// transaction ever begun would grow without bound in long-running
-/// workloads such as the simulation study).
+/// workloads such as the simulation study). Eight bytes: one entry per
+/// transaction this kernel ever saw.
 #[derive(Debug, Clone, Copy)]
 struct FinishedTxn {
     state: TxnState,
-    executed_ops: usize,
-    /// Durability ticket of the commit record this kernel appended to the
-    /// write-ahead log, when a log is attached and the transaction had
-    /// operations to log (the caller passes it to `Wal::wait_durable`
-    /// after releasing the shard lock).
-    wal_ticket: Option<u64>,
-    /// Global commit stamp the transaction's effects were folded under
-    /// (`None` for aborts).
-    commit_stamp: Option<u64>,
+    executed_ops: u32,
 }
 
 /// The scheduler kernel. See the module documentation for an overview.
@@ -457,7 +450,7 @@ impl SchedulerKernel {
         self.txns
             .get(&txn)
             .map(|r| r.executed_ops())
-            .or_else(|| self.finished.get(&txn).map(|f| f.executed_ops))
+            .or_else(|| self.finished.get(&txn).map(|f| f.executed_ops as usize))
             .unwrap_or(0)
     }
 
@@ -493,12 +486,6 @@ impl SchedulerKernel {
         if let Some(rec) = self.txns.get_mut(&txn) {
             rec.wal_logged = true;
         }
-    }
-
-    /// The durability ticket of a committed transaction's log record, when
-    /// a write-ahead log is attached and this kernel appended one.
-    pub fn wal_ticket_of(&self, txn: TxnId) -> Option<u64> {
-        self.finished.get(&txn).and_then(|f| f.wal_ticket)
     }
 
     /// The live transactions `txn` currently has commit dependencies on.
@@ -810,6 +797,18 @@ impl SchedulerKernel {
     /// Commit a transaction. Depending on outstanding commit dependencies
     /// this is an actual commit or a pseudo-commit.
     pub fn commit(&mut self, txn: TxnId) -> Result<CommitOutcome, CoreError> {
+        self.commit_logged(txn).map(|(outcome, _)| outcome)
+    }
+
+    /// [`Self::commit`], also returning the durability ticket of the
+    /// commit record an actual commit appended to the write-ahead log
+    /// (`None` without a log, for a pseudo-commit, or with nothing to
+    /// log). The caller passes it to `Wal::wait_durable` after releasing
+    /// the shard lock.
+    pub(crate) fn commit_logged(
+        &mut self,
+        txn: TxnId,
+    ) -> Result<(CommitOutcome, Option<u64>), CoreError> {
         let state = self
             .txn_state(txn)
             .ok_or(CoreError::UnknownTransaction(txn))?;
@@ -827,9 +826,9 @@ impl SchedulerKernel {
         let mut deps = self.graph.out_neighbors_kind(txn, EdgeKind::CommitDep);
         deps.sort_unstable();
         if deps.is_empty() {
-            self.actually_commit(txn);
+            let ticket = self.actually_commit(txn);
             self.settle();
-            Ok(CommitOutcome::Committed)
+            Ok((CommitOutcome::Committed, ticket))
         } else {
             let rec = self.txns.get_mut(&txn).expect("checked above");
             rec.state = TxnState::PseudoCommitted;
@@ -837,7 +836,7 @@ impl SchedulerKernel {
             if let Some(h) = &mut self.history {
                 h.record_pseudo_commit(txn);
             }
-            Ok(CommitOutcome::PseudoCommitted { waiting_on: deps })
+            Ok((CommitOutcome::PseudoCommitted { waiting_on: deps }, None))
         }
     }
 
@@ -943,12 +942,6 @@ impl SchedulerKernel {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// The global commit stamp of a committed transaction (`None` while
-    /// live, or for aborts).
-    pub fn commit_stamp_of(&self, txn: TxnId) -> Option<u64> {
-        self.finished.get(&txn).and_then(|f| f.commit_stamp)
     }
 
     // ------------------------------------------------------------------
@@ -1351,8 +1344,8 @@ impl SchedulerKernel {
         result
     }
 
-    fn actually_commit(&mut self, txn: TxnId) {
-        self.actually_commit_stamped(txn, None);
+    fn actually_commit(&mut self, txn: TxnId) -> Option<u64> {
+        self.actually_commit_stamped(txn, None)
     }
 
     /// Fold a transaction's effects under a global commit stamp: the
@@ -1361,8 +1354,9 @@ impl SchedulerKernel {
     /// watermark is loaded — the order the snapshot-visibility argument in
     /// ARCHITECTURE.md relies on (a fold whose stamp exceeds a live
     /// snapshot's begin stamp is guaranteed to observe that snapshot's
-    /// watermark and preserve the version it still needs).
-    fn actually_commit_stamped(&mut self, txn: TxnId, stamp: Option<u64>) {
+    /// watermark and preserve the version it still needs). Returns the
+    /// durability ticket of the commit record it appended, if any.
+    fn actually_commit_stamped(&mut self, txn: TxnId, stamp: Option<u64>) -> Option<u64> {
         self.termination_epoch += 1;
         let rec = self.txns.remove(&txn).expect("transaction exists");
         debug_assert!(matches!(
@@ -1401,18 +1395,22 @@ impl SchedulerKernel {
         self.graph_remove_node(txn);
         self.pending_dirty.extend(touched);
         self.stats.commits += 1;
-        self.finished.insert(
-            txn,
-            FinishedTxn {
-                state: TxnState::Committed,
-                executed_ops: rec.executed_ops(),
-                wal_ticket,
-                commit_stamp: Some(stamp),
-            },
-        );
+        self.finish(txn, TxnState::Committed, &rec);
         if let Some(h) = &mut self.history {
             h.record_committed(txn, self.next_commit_index);
         }
+        wal_ticket
+    }
+
+    fn finish(&mut self, txn: TxnId, state: TxnState, rec: &TxnRecord) {
+        let executed_ops = u32::try_from(rec.executed_ops()).unwrap_or(u32::MAX);
+        self.finished.insert(
+            txn,
+            FinishedTxn {
+                state,
+                executed_ops,
+            },
+        );
     }
 
     fn abort_internal(&mut self, txn: TxnId, reason: AbortReason) {
@@ -1441,15 +1439,7 @@ impl SchedulerKernel {
             AbortReason::UndeclaredAccess => self.stats.aborts_undeclared += 1,
             AbortReason::Explicit => self.stats.aborts_explicit += 1,
         }
-        self.finished.insert(
-            txn,
-            FinishedTxn {
-                state: TxnState::Aborted,
-                executed_ops: rec.executed_ops(),
-                wal_ticket: None,
-                commit_stamp: None,
-            },
-        );
+        self.finish(txn, TxnState::Aborted, &rec);
         if let Some(h) = &mut self.history {
             h.record_aborted(txn, reason);
         }

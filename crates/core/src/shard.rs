@@ -18,9 +18,10 @@
 //! 1. **Object ownership is static**: an object registered under a name
 //!    lives in `shard_of_name(name, shards)` forever. Every request for it
 //!    is processed under that shard's lock only.
-//! 2. **Transaction ids are global**: [`ShardedKernel::begin`] assigns ids
-//!    from one atomic counter; a shard *adopts* the id the first time the
-//!    transaction touches one of its objects (lazy enrollment).
+//! 2. **Transaction ids are global**: [`ShardedKernel::begin`] issues ids
+//!    from one counter under the enrollment lock; a shard *adopts* the
+//!    id the first time the transaction touches one of its objects (lazy
+//!    enrollment).
 //! 3. **Local graphs are authoritative for intra-shard cycles**: a
 //!    transaction enrolled in exactly one shard has all of its edges in
 //!    that shard's graph, so the ordinary local cycle check is complete
@@ -81,7 +82,7 @@ use crate::txn::{BatchCall, TxnId, TxnState};
 use crate::chaos::{self, sync::Mutex, sync::MutexGuard, ChaosPoint};
 use sbcc_adt::{AdtObject, AdtSpec, OpCall, SemanticObject};
 use sbcc_graph::{DependencyGraph, EdgeKind};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -418,10 +419,40 @@ struct EnrollRec {
     pseudo: bool,
 }
 
+/// The coordinator's transaction table. Ids are issued densely from 1
+/// under this table's lock, in the same critical section that makes them
+/// live, so every issued id is either live or terminated: a terminated id
+/// that is not in `aborted` committed. Only aborts are remembered, which
+/// keeps the table as large as the live set plus the abort history
+/// instead of one entry per transaction ever begun.
 #[derive(Debug, Default)]
 struct Enrollments {
     live: HashMap<TxnId, EnrollRec>,
-    finished: HashMap<TxnId, TxnState>,
+    /// The highest id issued so far.
+    issued: u64,
+    aborted: HashSet<TxnId>,
+}
+
+impl Enrollments {
+    /// Issue the next transaction id and make it live.
+    fn issue(&mut self) -> TxnId {
+        self.issued += 1;
+        let id = TxnId(self.issued);
+        self.live.insert(id, EnrollRec::default());
+        id
+    }
+
+    /// The final state of a terminated transaction; `None` for live and
+    /// never-issued ids.
+    fn finished_state(&self, txn: TxnId) -> Option<TxnState> {
+        if txn.0 == 0 || txn.0 > self.issued || self.live.contains_key(&txn) {
+            None
+        } else if self.aborted.contains(&txn) {
+            Some(TxnState::Aborted)
+        } else {
+            Some(TxnState::Committed)
+        }
+    }
 }
 
 /// Coordinator-side SSI record of one transaction (Cahill-style
@@ -473,12 +504,19 @@ struct SsiTxn {
 /// per-transaction conflict flags, all behind one small mutex that is only
 /// ever touched while at least one snapshot transaction is (or recently
 /// was) live — [`ShardedKernel::ssi_enabled`] gates every entry point with
-/// a single atomic load. The whole state clears at quiescence (no live
-/// transactions at all), so purely classified workloads pay nothing.
+/// a single atomic load, so purely classified workloads pay nothing.
+///
+/// **Bound.** The state is as large as the live window, not as long as
+/// the run: a committed transaction's record, marks and entries are
+/// retired once every live transaction began at or after its commit
+/// stamp (see [`ShardedKernel::ssi_finalize`]). Retirement removes only
+/// what the commit-entry and snapshot-read skip tests would ignore
+/// anyway, so it changes no SSI decision. At quiescence (no live
+/// transaction) everything retires and the gate closes.
 ///
 /// Lock order: the enrollment lock may be held when taking this lock
-/// (claim-time finalize); shard locks and this lock are **never** held
-/// together.
+/// (claim-time finalize, commit entry); shard locks and this lock are
+/// **never** held together.
 #[derive(Debug, Default)]
 struct SsiState {
     txns: HashMap<TxnId, SsiTxn>,
@@ -489,6 +527,37 @@ struct SsiState {
     /// yet — readers must conservatively treat it as concurrent);
     /// `Some(stamp)` = committed at (at most) `stamp`.
     writers: HashMap<ObjectLoc, Vec<(TxnId, Option<u64>)>>,
+    /// Committed transactions still holding a record, in claim order with
+    /// their commit stamps. Claims are serialized by the enrollment lock
+    /// and stamp from a monotone clock, so the stamps are non-decreasing
+    /// and retirement pops a prefix.
+    committed: VecDeque<(u64, TxnId)>,
+    /// Records retired so far (the `ssi_retired` counter).
+    retired: u64,
+}
+
+impl SsiState {
+    /// Drop a transaction's record together with its SIREAD marks and
+    /// writer entries, removing map keys left empty.
+    fn forget(&mut self, txn: TxnId) {
+        let Some(rec) = self.txns.remove(&txn) else { return };
+        for loc in rec.writes {
+            if let Some(entries) = self.writers.get_mut(&loc) {
+                entries.retain(|(w, _)| *w != txn);
+                if entries.is_empty() {
+                    self.writers.remove(&loc);
+                }
+            }
+        }
+        for loc in rec.reads {
+            if let Some(readers) = self.sireads.get_mut(&loc) {
+                readers.retain(|r| *r != txn);
+                if readers.is_empty() {
+                    self.sireads.remove(&loc);
+                }
+            }
+        }
+    }
 }
 
 /// Globally deduplicated transaction-lifecycle counters (one count per
@@ -552,7 +621,6 @@ pub struct ShardedKernel {
     /// side effects, the overwhelmingly common case) must not pay a mutex
     /// acquisition per call just to find the buffer empty.
     events_pending: AtomicU64,
-    next_txn: AtomicU64,
     lifecycle: Lifecycle,
     /// The global commit clock, shared with every shard kernel
     /// ([`SchedulerKernel::attach_stamps`]): each actual commit draws one
@@ -616,7 +684,6 @@ impl ShardedKernel {
             termination: Mutex::new(()),
             events: Mutex::new(Vec::new()),
             events_pending: AtomicU64::new(0),
-            next_txn: AtomicU64::new(0),
             lifecycle: Lifecycle::default(),
             commit_clock,
             version_floor,
@@ -774,8 +841,7 @@ impl ShardedKernel {
     /// Begin a transaction. The id is assigned globally; shards adopt it
     /// lazily on first touch.
     pub fn begin(&self) -> TxnId {
-        let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed) + 1);
-        self.enroll.lock().live.insert(id, EnrollRec::default());
+        let id = self.enroll.lock().issue();
         self.lifecycle.begun.fetch_add(1, Ordering::Relaxed);
         if self.ssi_enabled.load(Ordering::SeqCst) != 0 {
             // Stamp the begin while snapshots are live: the SIREAD scan at
@@ -813,13 +879,13 @@ impl ShardedKernel {
     /// under that same lock, so no snapshot can begin between the folds —
     /// cross-shard snapshots never see a half-applied multi-shard commit.
     pub fn begin_snapshot(&self) -> (TxnId, u64) {
-        let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed) + 1);
-        self.lifecycle.begun.fetch_add(1, Ordering::Relaxed);
         let _termination = self.termination.lock();
-        self.enroll.lock().live.insert(id, EnrollRec::default());
+        let id = self.enroll.lock().issue();
+        self.lifecycle.begun.fetch_add(1, Ordering::Relaxed);
         chaos::reach(ChaosPoint::SnapshotStamp, Some(id));
         let provisional = self.commit_clock.load(Ordering::SeqCst);
         {
+            let enroll = self.enroll.lock();
             let mut ssi = self.ssi.lock();
             ssi.txns.insert(
                 id,
@@ -829,13 +895,7 @@ impl ShardedKernel {
                     ..SsiTxn::default()
                 },
             );
-            let floor = ssi
-                .txns
-                .values()
-                .filter(|t| t.snapshot && t.committed.is_none())
-                .map(|t| t.begin)
-                .min()
-                .unwrap_or(provisional);
+            let (_, floor) = Self::ssi_watermarks(&enroll, &ssi);
             self.version_floor.store(floor, Ordering::SeqCst);
             self.ssi_enabled.store(1, Ordering::SeqCst);
         }
@@ -864,12 +924,8 @@ impl ShardedKernel {
         txn: TxnId,
         action: &'static str,
     ) -> CoreError {
-        match enroll.finished.get(&txn) {
-            Some(state) => CoreError::InvalidState {
-                txn,
-                state: *state,
-                action,
-            },
+        match enroll.finished_state(txn) {
+            Some(state) => CoreError::InvalidState { txn, state, action },
             None => CoreError::UnknownTransaction(txn),
         }
     }
@@ -924,8 +980,8 @@ impl ShardedKernel {
     pub fn txn_state(&self, txn: TxnId) -> Option<TxnState> {
         let shards = {
             let enroll = self.enroll.lock();
-            if let Some(state) = enroll.finished.get(&txn) {
-                return Some(*state);
+            if let Some(state) = enroll.finished_state(txn) {
+                return Some(state);
             }
             let rec = enroll.live.get(&txn)?;
             if rec.shards.is_empty() {
@@ -1308,14 +1364,15 @@ impl ShardedKernel {
             }
             1 => {
                 let shard = enrolled[0];
-                let (result, fx, wal_ticket) = {
+                let (result, fx) = {
                     let mut kernel = self.lock_shard(shard);
-                    let result = kernel.commit(txn);
-                    // The ticket must be read under the shard lock: it is
-                    // assigned inside `actually_commit`.
-                    let wal_ticket = kernel.wal_ticket_of(txn);
+                    let result = kernel.commit_logged(txn);
                     let fx = drain_fx(&mut kernel);
-                    (result, fx, wal_ticket)
+                    (result, fx)
+                };
+                let (result, wal_ticket) = match result {
+                    Ok((outcome, ticket)) => (Ok(outcome), ticket),
+                    Err(e) => (Err(e), None),
                 };
                 match &result {
                     Ok(CommitOutcome::Committed) => {
@@ -1524,7 +1581,7 @@ impl ShardedKernel {
         let (begin, danger) = {
             let ssi = self.ssi.lock();
             match ssi.txns.get(&txn) {
-                Some(r) if r.snapshot => {
+                Some(r) if r.snapshot && r.committed.is_none() => {
                     (r.begin, r.doomed || (r.in_conflict && r.out_conflict))
                 }
                 _ => {
@@ -1617,7 +1674,10 @@ impl ShardedKernel {
     /// The begin stamp of a live snapshot transaction.
     pub fn snapshot_begin_stamp(&self, txn: TxnId) -> Option<u64> {
         let ssi = self.ssi.lock();
-        ssi.txns.get(&txn).filter(|r| r.snapshot).map(|r| r.begin)
+        ssi.txns
+            .get(&txn)
+            .filter(|r| r.snapshot && r.committed.is_none())
+            .map(|r| r.begin)
     }
 
     /// The current value of the global commit clock.
@@ -1722,7 +1782,18 @@ impl ShardedKernel {
         chaos::reach(ChaosPoint::SsiEdge, Some(txn));
         let mut doom_self = false;
         {
+            // Check liveness and take the SSI lock under one enrollment
+            // hold: a claim finalizes under the same nesting, so either it
+            // ran first (refuse here) or it runs after this section and
+            // retracts what it publishes. Otherwise a transaction aborted
+            // meanwhile (a victim) would leave a record and writer entries
+            // that nothing ever retires.
+            let enroll = self.enroll.lock();
+            if !enroll.live.contains_key(&txn) {
+                return Err(Self::missing_txn_error(&enroll, txn, "commit"));
+            }
             let mut ssi = self.ssi.lock();
+            drop(enroll);
             let (snapshot, begin) = match ssi.txns.get(&txn) {
                 Some(r) => {
                     if r.snapshot && (r.doomed || (r.in_conflict && r.out_conflict)) {
@@ -1743,16 +1814,15 @@ impl ShardedKernel {
                         entries.push((txn, None));
                     }
                 }
-                let mut flagged: Vec<TxnId> = Vec::new();
-                for loc in &writes {
-                    if let Some(readers) = ssi.sireads.get(loc) {
-                        for &r in readers {
-                            if r != txn && !flagged.contains(&r) {
-                                flagged.push(r);
-                            }
-                        }
-                    }
-                }
+                let mut flagged: Vec<TxnId> = writes
+                    .iter()
+                    .filter_map(|loc| ssi.sireads.get(loc))
+                    .flatten()
+                    .copied()
+                    .filter(|r| *r != txn)
+                    .collect();
+                flagged.sort_unstable();
+                flagged.dedup();
                 let mut in_edge = false;
                 for r in flagged {
                     let Some(rrec) = ssi.txns.get_mut(&r) else { continue };
@@ -1777,20 +1847,17 @@ impl ShardedKernel {
                         }
                     }
                 }
-                if in_edge {
-                    let rec = ssi.txns.entry(txn).or_default();
-                    rec.in_conflict = true;
-                    if rec.out_conflict {
-                        doom_self = true;
-                    }
-                    if rec.writes.is_empty() {
-                        rec.writes = writes.clone();
-                    }
-                } else if !writes.is_empty() {
+                if !writes.is_empty() {
                     let rec = ssi.txns.entry(txn).or_default();
                     for loc in &writes {
                         if !rec.writes.contains(loc) {
                             rec.writes.push(*loc);
+                        }
+                    }
+                    if in_edge {
+                        rec.in_conflict = true;
+                        if rec.out_conflict {
+                            doom_self = true;
                         }
                     }
                 }
@@ -1858,11 +1925,41 @@ impl ShardedKernel {
         CoreError::Aborted { txn, reason }
     }
 
-    /// Claim-time SSI finalize (runs under the enrollment lock): stamp a
-    /// committer's pending writer entries, retract an aborter's whole
-    /// footprint, re-derive the GC floor, and clear everything once the
-    /// database quiesces.
-    fn ssi_finalize(&self, txn: TxnId, fate: TermFate, quiesced: bool) {
+    /// The SSI retirement watermark and the version-GC floor, from one
+    /// pass over the live transactions: the smallest begin stamp of any
+    /// live transaction (one without an SSI record, begun while SSI was
+    /// dormant, counts as 0) and the smallest begin stamp of a live
+    /// snapshot. Either is `u64::MAX` when nothing qualifies.
+    fn ssi_watermarks(enroll: &Enrollments, ssi: &SsiState) -> (u64, u64) {
+        let (mut watermark, mut floor) = (u64::MAX, u64::MAX);
+        for txn in enroll.live.keys() {
+            match ssi.txns.get(txn) {
+                Some(rec) => {
+                    watermark = watermark.min(rec.begin);
+                    if rec.snapshot {
+                        floor = floor.min(rec.begin);
+                    }
+                }
+                None => watermark = 0,
+            }
+        }
+        (watermark, floor)
+    }
+
+    /// Claim-time SSI finalize (runs under the enrollment lock, after the
+    /// claim removed `txn` from the live set): stamp a committer's pending
+    /// writer entries, retract an aborter's whole footprint, retire every
+    /// committed record behind the watermark, and re-derive the GC floor.
+    ///
+    /// A committed record with `committed ≤ W`, where `W` is the smallest
+    /// begin stamp of a live transaction, is exactly what both skip tests
+    /// ignore for every live transaction — a reader committed at or below
+    /// a writer's begin at commit entry, a writer stamped at or below a
+    /// reader's begin at snapshot read — and every later transaction
+    /// begins at or above the clock, so above the stamp too. Retiring it
+    /// therefore changes no decision. At quiescence `W = ∞`: everything
+    /// retires and the gate closes.
+    fn ssi_finalize(&self, txn: TxnId, fate: TermFate, enroll: &Enrollments) {
         let mut ssi = self.ssi.lock();
         match fate {
             TermFate::Committed => {
@@ -1881,14 +1978,15 @@ impl ShardedKernel {
                         // A classified transaction that committed without
                         // touching any SSI state (its record exists only
                         // for the begin stamp) carries no conflict
-                        // information — drop it instead of letting one
-                        // record per transaction pile up until quiescence.
+                        // information — drop it at once.
                         ssi.txns.remove(&txn);
                         Vec::new()
                     }
                     Some(rec) => {
                         rec.committed = Some(now);
-                        rec.writes.clone()
+                        let writes = rec.writes.clone();
+                        ssi.committed.push_back((now, txn));
+                        writes
                     }
                     None => Vec::new(),
                 };
@@ -1902,66 +2000,54 @@ impl ShardedKernel {
                     }
                 }
             }
-            TermFate::Aborted(_) => {
-                if let Some(rec) = ssi.txns.remove(&txn) {
-                    for loc in rec.writes {
-                        if let Some(entries) = ssi.writers.get_mut(&loc) {
-                            entries.retain(|(w, _)| *w != txn);
-                        }
-                    }
-                    for loc in rec.reads {
-                        if let Some(readers) = ssi.sireads.get_mut(&loc) {
-                            readers.retain(|r| *r != txn);
-                        }
-                    }
-                }
-            }
+            TermFate::Aborted(_) => ssi.forget(txn),
         }
-        let floor = ssi
-            .txns
-            .values()
-            .filter(|t| t.snapshot && t.committed.is_none())
-            .map(|t| t.begin)
-            .min();
-        if quiesced && floor.is_none() {
-            // Full quiescence: no live transactions at all. Drop every
-            // record and close the gate — the next `begin_snapshot`
-            // reopens it.
+        let (watermark, floor) = Self::ssi_watermarks(enroll, &ssi);
+        while let Some(&(stamp, retiree)) = ssi.committed.front() {
+            if stamp > watermark {
+                break;
+            }
+            ssi.committed.pop_front();
+            ssi.forget(retiree);
+            ssi.retired += 1;
+        }
+        if enroll.live.is_empty() {
+            // Full quiescence: with no live transaction every committed
+            // record retired above, and live records cannot exist.
+            debug_assert!(
+                ssi.txns.is_empty() && ssi.sireads.is_empty() && ssi.writers.is_empty(),
+                "SSI state left behind at quiescence"
+            );
             ssi.txns.clear();
             ssi.sireads.clear();
             ssi.writers.clear();
-            self.version_floor.store(u64::MAX, Ordering::SeqCst);
             self.ssi_enabled.store(0, Ordering::SeqCst);
-        } else {
-            // Raising the floor outside the termination lock is safe:
-            // the new value is at or below every live snapshot's begin
-            // stamp, so any fold that reads it preserves what they need.
-            self.version_floor
-                .store(floor.unwrap_or(u64::MAX), Ordering::SeqCst);
         }
+        // Raising the floor outside the termination lock is safe: the new
+        // value is at or below every live snapshot's begin stamp, so any
+        // fold that reads it preserves what they need.
+        self.version_floor.store(floor, Ordering::SeqCst);
     }
 
     // ------------------------------------------------------------------
     // Coordination internals
     // ------------------------------------------------------------------
 
-    /// Claim a termination: atomically move the transaction from the live
-    /// to the finished map. Exactly one caller wins; it is responsible for
+    /// Claim a termination: atomically remove the transaction from the
+    /// live set (remembering it if it aborted). Exactly one caller wins; it is responsible for
     /// the lifecycle counters and for completing the termination in the
     /// transaction's other shards.
     fn claim(&self, txn: TxnId, fate: TermFate) -> Option<Vec<u32>> {
         let mut enroll = self.enroll.lock();
         let rec = enroll.live.remove(&txn)?;
-        let state = match fate {
-            TermFate::Committed => TxnState::Committed,
-            TermFate::Aborted(_) => TxnState::Aborted,
-        };
-        enroll.finished.insert(txn, state);
+        if let TermFate::Aborted(_) = fate {
+            enroll.aborted.insert(txn);
+        }
         if self.ssi_enabled.load(Ordering::SeqCst) != 0 {
             // Finalize under the enrollment lock (enroll → ssi is the
             // one permitted nesting): stamp or retract the transaction's
-            // SSI footprint and clear everything at quiescence.
-            self.ssi_finalize(txn, fate, enroll.live.is_empty());
+            // SSI footprint and retire what no live transaction can need.
+            self.ssi_finalize(txn, fate, &enroll);
         }
         Some(rec.shards)
     }
@@ -2144,8 +2230,14 @@ impl ShardedKernel {
     // ------------------------------------------------------------------
 
     /// Overwrite the summed transaction-lifecycle counters with the
-    /// coordinator's globally deduplicated counts.
+    /// coordinator's globally deduplicated counts, and fill in the
+    /// coordinator-only SSI gauge and counter.
     fn apply_lifecycle(&self, aggregate: &mut KernelStats) {
+        {
+            let ssi = self.ssi.lock();
+            aggregate.ssi_records = ssi.txns.len() as u64;
+            aggregate.ssi_retired = ssi.retired;
+        }
         aggregate.transactions_begun = self.lifecycle.begun.load(Ordering::Relaxed);
         aggregate.commits = self.lifecycle.commits.load(Ordering::Relaxed);
         aggregate.pseudo_commits = self.lifecycle.pseudo_commits.load(Ordering::Relaxed);

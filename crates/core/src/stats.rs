@@ -92,6 +92,16 @@ pub struct KernelStats {
     /// after the local graph found no cycle (always zero for an unsharded
     /// kernel).
     pub escalated_checks: u64,
+    /// SSI transaction records the coordinator holds right now (a gauge,
+    /// not a monotone counter): live transactions stamped while snapshots
+    /// were around, plus committed ones some live transaction may still
+    /// conflict with. Bounded by the live window, not by the run length.
+    /// Always zero for a bare shard kernel.
+    pub ssi_records: u64,
+    /// Committed SSI records retired because every live transaction began
+    /// at or after their commit stamp (including the wholesale retirement
+    /// at quiescence).
+    pub ssi_retired: u64,
 }
 
 impl KernelStats {
@@ -125,6 +135,8 @@ impl KernelStats {
         self.graph_edges += other.graph_edges;
         self.escalated_edges += other.escalated_edges;
         self.escalated_checks += other.escalated_checks;
+        self.ssi_records += other.ssi_records;
+        self.ssi_retired += other.ssi_retired;
     }
 
     /// Total aborts of every kind.
@@ -168,7 +180,7 @@ impl KernelStats {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "txns={} requests={} batches={}/{} declared(batches={}, admitted={}, fallbacks={}, escalations={}) executed={} snapshot-reads={} blocks={} unblocks={} commit-deps={} commits={} pseudo={} aborts(deadlock={}, cycle={}, victim={}, ssi={}, undeclared={}, explicit={}) versions-pruned={}",
+            "txns={} requests={} batches={}/{} declared(batches={}, admitted={}, fallbacks={}, escalations={}) executed={} snapshot-reads={} blocks={} unblocks={} commit-deps={} commits={} pseudo={} aborts(deadlock={}, cycle={}, victim={}, ssi={}, undeclared={}, explicit={}) versions-pruned={} ssi(records={}, retired={})",
             self.transactions_begun,
             self.requests,
             self.batches,
@@ -191,6 +203,8 @@ impl KernelStats {
             self.aborts_undeclared,
             self.aborts_explicit,
             self.versions_pruned,
+            self.ssi_records,
+            self.ssi_retired,
         )
     }
 }
@@ -349,6 +363,8 @@ mod tests {
         b.declared_fallbacks = 1;
         b.declared_escalations = 1;
         b.aborts_undeclared = 2;
+        b.ssi_records = 3;
+        b.ssi_retired = 8;
         a.accumulate(&b);
         assert_eq!(a.requests, 7);
         assert_eq!(a.commits, 1);
@@ -359,6 +375,8 @@ mod tests {
         assert_eq!(a.declared_fallbacks, 1);
         assert_eq!(a.declared_escalations, 1);
         assert_eq!(a.aborts_undeclared, 2);
+        assert_eq!(a.ssi_records, 3);
+        assert_eq!(a.ssi_retired, 8);
     }
 
     #[test]
@@ -434,6 +452,8 @@ mod tests {
             declared_batches: 9,
             declared_admitted: 8,
             versions_pruned: 4,
+            ssi_records: 5,
+            ssi_retired: 11,
             ..KernelStats::default()
         };
         let text = s.summary();
@@ -444,5 +464,6 @@ mod tests {
         assert!(text.contains("undeclared=6"));
         assert!(text.contains("declared(batches=9, admitted=8"));
         assert!(text.contains("versions-pruned=4"));
+        assert!(text.contains("ssi(records=5, retired=11)"));
     }
 }

@@ -11,6 +11,13 @@
 //! snapshot closes (GC), and the pinned write-skew schedule — invisible
 //! to each snapshot alone, non-serializable in combination — must be
 //! refused by the SSI rw-antidependency guard.
+//!
+//! A second oracle covers SSI **retirement** (committed records dropped
+//! once every live transaction began after them): interleaved random
+//! schedules run once as they are and once under an idle classified
+//! *anchor* that pins the retirement watermark at 0, so nothing retires.
+//! Every decision must match, and the record count must stay bounded by
+//! the live window on a database that never quiesces.
 
 use proptest::prelude::*;
 use sbcc_adt::{
@@ -19,7 +26,8 @@ use sbcc_adt::{
 };
 use sbcc_core::{
     shard_of_name, AbortReason, CommitOutcome, CoreError, Database, DatabaseConfig,
-    KernelStats, ObjectHandle, SchedulerConfig, ShardCount, Transaction,
+    KernelStats, ObjectHandle, RequestOutcome, SchedulerConfig, ShardCount, Transaction,
+    TxnId, TxnState,
 };
 
 const N_OBJECTS: usize = 5;
@@ -76,7 +84,11 @@ fn probe_with(txn: &Transaction, handles: &[ObjectHandle]) -> Vec<String> {
 
 /// One committed-state digest per object.
 fn digests(db: &Database) -> Vec<Option<String>> {
-    object_names()
+    digests_of(db, &object_names())
+}
+
+fn digests_of(db: &Database, names: &[String]) -> Vec<Option<String>> {
+    names
         .iter()
         .map(|name| {
             db.with_sharded_kernel(|k| {
@@ -264,6 +276,282 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Retirement oracle: interleaved schedules with and without an anchor
+// ---------------------------------------------------------------------
+
+/// Concurrent session slots of an interleaved schedule.
+const SLOTS: usize = 3;
+
+/// One step of an interleaved single-threaded schedule.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Submit one operation without blocking, first beginning a session
+    /// (a snapshot one if `snapshot`) when the slot is empty.
+    Op {
+        slot: usize,
+        snapshot: bool,
+        object: usize,
+        call: OpCall,
+    },
+    Commit(usize),
+    Abort(usize),
+}
+
+/// The interleaved schedules run on three counters and a set: counter
+/// updates commute and snapshot reads never block, so the SSI guard —
+/// not blocking — decides most conflicts, and rw-antidependencies and
+/// dangerous structures are common.
+fn interleaved_names() -> Vec<String> {
+    ["counter", "set", "x", "y"].map(str::to_owned).to_vec()
+}
+
+fn register_interleaved(db: &Database) -> Vec<ObjectHandle> {
+    let mut handles = vec![
+        db.register_object("counter", Box::new(AdtObject::new(Counter::new())))
+            .unwrap(),
+        db.register_object("set", Box::new(AdtObject::new(Set::new())))
+            .unwrap(),
+    ];
+    for name in ["x", "y"] {
+        handles.push(
+            db.register_object(name, Box::new(AdtObject::new(Counter::new())))
+                .unwrap(),
+        );
+    }
+    handles
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    // Two of every three sessions are snapshots; most steps are
+    // operations, and half of the counter operations are reads.
+    (0u8..16, 0..SLOTS, 0u8..3, 0..4usize).prop_flat_map(|(kind, slot, flavour, object)| {
+        let snapshot = flavour != 0;
+        let calls = if object == 1 {
+            arb_call_for(1)
+        } else {
+            prop_oneof![
+                Just(CounterOp::Read.to_call()),
+                (1i64..5).prop_map(|v| CounterOp::Increment(v).to_call()),
+            ]
+            .boxed()
+        };
+        calls.prop_map(move |call| match kind {
+            0..=11 => Step::Op {
+                slot,
+                snapshot,
+                object,
+                call,
+            },
+            12..=14 => Step::Commit(slot),
+            _ => Step::Abort(slot),
+        })
+    })
+}
+
+fn arb_schedule() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(arb_step(), 4..48)
+}
+
+/// A live session of the interpreter: the guard plus whether a
+/// non-blocking submission left a request pending in the kernel.
+struct Session {
+    txn: Transaction,
+    pending: bool,
+}
+
+fn render_request(outcome: Result<RequestOutcome, CoreError>) -> String {
+    match outcome {
+        Ok(RequestOutcome::Executed {
+            result,
+            commit_deps,
+        }) => {
+            format!("ok {result} deps={commit_deps:?}")
+        }
+        Ok(other) => format!("{other:?}"),
+        Err(e) => format!("err {e}"),
+    }
+}
+
+/// Whether a session survives the outcome it just produced.
+fn survives(rendered: &str) -> bool {
+    !(rendered.starts_with("err") || rendered.starts_with("Aborted"))
+}
+
+/// Settle a session's pending request if the kernel has decided it.
+/// Returns the rendered outcome, or `None` while it is still blocked.
+fn try_settle(db: &Database, session: &mut Session) -> Option<String> {
+    if db.txn_state(session.txn.id()) == Some(TxnState::Blocked) {
+        return None;
+    }
+    session.pending = false;
+    Some(match session.txn.settle_pending() {
+        Ok(result) => format!("settled {result}"),
+        Err(e) => format!("err {e}"),
+    })
+}
+
+/// What one run of an interleaved schedule decided.
+#[derive(Debug, PartialEq)]
+struct Decisions {
+    per_step: Vec<String>,
+    fates: Vec<Option<TxnState>>,
+    digests: Vec<Option<String>>,
+    stats: KernelStats,
+}
+
+/// Interpret `schedule` on one thread with non-blocking submissions. A
+/// rolling idle classified *keeper* (each begun before the previous one
+/// ends) keeps the database from quiescing, so the SSI gate never closes
+/// mid-schedule and the two runs below differ in the anchor alone.
+///
+/// With `anchor`, an idle classified transaction is begun first (while
+/// SSI is dormant, so it has no record and pins the retirement watermark
+/// at 0) and aborted last; without it, the same id is consumed by a
+/// transaction aborted at once, so transaction ids line up between runs.
+/// One write commits before it, so every commit stamp the schedule
+/// produces is above the pinned watermark.
+fn run_interleaved(schedule: &[Step], shards: usize, anchor: bool) -> Decisions {
+    let db = Database::with_config(config(shards));
+    let handles = register_interleaved(&db);
+    run_writer(&db, &handles, &[(0, CounterOp::Increment(1).to_call())]);
+    let first = db.begin();
+    let anchor_txn = if anchor {
+        Some(first)
+    } else {
+        first.abort().unwrap();
+        None
+    };
+    let mut keeper = db.begin();
+    let mut slots: Vec<Option<Session>> = (0..SLOTS).map(|_| None).collect();
+    let mut begun: Vec<TxnId> = Vec::new();
+    let mut per_step = Vec::new();
+    for step in schedule {
+        keeper = std::mem::replace(&mut keeper, db.begin());
+        if let Step::Op { slot, snapshot, .. } = step {
+            if slots[*slot].is_none() {
+                let txn = if *snapshot {
+                    db.begin_snapshot()
+                } else {
+                    db.begin()
+                };
+                begun.push(txn.id());
+                slots[*slot] = Some(Session {
+                    txn,
+                    pending: false,
+                });
+            }
+        }
+        let rendered = match step {
+            Step::Op {
+                slot, object, call, ..
+            } => match slots[*slot].as_mut() {
+                None => unreachable!("begun above"),
+                Some(session) if session.pending => {
+                    try_settle(&db, session).unwrap_or_else(|| "blocked".to_owned())
+                }
+                Some(session) => {
+                    let outcome = session.txn.try_exec_call(&handles[*object], call.clone());
+                    session.pending = matches!(outcome, Ok(RequestOutcome::Blocked { .. }));
+                    render_request(outcome)
+                }
+            },
+            Step::Commit(slot) => match slots[*slot].as_mut() {
+                None => "idle".to_owned(),
+                Some(session) if session.pending => {
+                    try_settle(&db, session).unwrap_or_else(|| "blocked".to_owned())
+                }
+                Some(_) => {
+                    let session = slots[*slot].take().expect("matched above");
+                    format!("{:?}", session.txn.commit())
+                }
+            },
+            Step::Abort(slot) => match slots[*slot].take() {
+                None => "idle".to_owned(),
+                Some(session) => format!("{:?}", session.txn.abort()),
+            },
+        };
+        if let Step::Op { slot, .. } | Step::Commit(slot) = step {
+            if !survives(&rendered) {
+                slots[*slot] = None;
+            }
+        }
+        per_step.push(rendered);
+    }
+    // Drain: settle and commit whatever can finish; when only blocked
+    // sessions remain, abort the first of them.
+    while slots.iter().any(Option::is_some) {
+        let mut progressed = false;
+        for entry in slots.iter_mut() {
+            let Some(session) = entry.as_mut() else {
+                continue;
+            };
+            if session.pending {
+                let Some(rendered) = try_settle(&db, session) else {
+                    continue;
+                };
+                let alive = survives(&rendered);
+                per_step.push(rendered);
+                if !alive {
+                    *entry = None;
+                    progressed = true;
+                    continue;
+                }
+            }
+            let session = entry.take().expect("live session");
+            per_step.push(format!("{:?}", session.txn.commit()));
+            progressed = true;
+        }
+        if !progressed {
+            let session = slots
+                .iter_mut()
+                .find_map(Option::take)
+                .expect("a live session");
+            per_step.push(format!("{:?}", session.txn.abort()));
+        }
+    }
+    drop(keeper);
+    if let Some(anchor_txn) = anchor_txn {
+        assert_eq!(
+            db.stats().ssi_retired,
+            0,
+            "the anchor pins the watermark: nothing may retire"
+        );
+        anchor_txn.abort().unwrap();
+    }
+    db.verify_serializable().unwrap();
+    let mut stats = db.stats();
+    stats.ssi_records = 0;
+    stats.ssi_retired = 0;
+    Decisions {
+        per_step,
+        fates: begun.iter().map(|t| db.txn_state(*t)).collect(),
+        digests: digests_of(&db, &interleaved_names()),
+        stats,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Retirement changes no SSI decision, at 1 and 4 shards: with and
+    /// without the anchor every step returns the same outcome, every
+    /// transaction meets the same fate, and the final committed states
+    /// and every kernel counter (the SSI record gauge and retirement
+    /// counter aside) agree.
+    #[test]
+    fn retirement_changes_no_decision(schedule in arb_schedule()) {
+        for shards in [1usize, 4] {
+            let retiring = run_interleaved(&schedule, shards, false);
+            let pinned = run_interleaved(&schedule, shards, true);
+            prop_assert_eq!(
+                &retiring, &pinned,
+                "retirement changed a decision at {} shard(s)", shards
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Pinned scenarios (deterministic)
 // ---------------------------------------------------------------------
 
@@ -282,20 +570,81 @@ fn names_on_distinct_shards(shards: usize) -> (String, String) {
     }
 }
 
+/// A stream of committing background transactions that keeps the
+/// database from quiescing: each [`Background::tick`] begins the next one
+/// (an increment of its own counter, commuting with every other) before
+/// committing the previous one, so some transaction is always live while
+/// the commit clock keeps moving and SSI records keep retiring.
+struct Background {
+    db: Database,
+    counter: ObjectHandle,
+    live: Option<Transaction>,
+    commits: u64,
+}
+
+impl Background {
+    fn new(db: &Database) -> Self {
+        let counter = db
+            .register_object("background", Box::new(AdtObject::new(Counter::new())))
+            .unwrap();
+        let mut background = Background {
+            db: db.clone(),
+            counter,
+            live: None,
+            commits: 0,
+        };
+        background.tick();
+        background
+    }
+
+    fn tick(&mut self) {
+        let next = self.db.begin();
+        next.exec_call(&self.counter, CounterOp::Increment(1).to_call())
+            .unwrap();
+        if let Some(previous) = self.live.replace(next) {
+            assert_eq!(previous.commit().unwrap(), CommitOutcome::Committed);
+            self.commits += 1;
+        }
+    }
+
+    /// Commit the last background transaction; returns the commit count.
+    fn finish(mut self) -> u64 {
+        let last = self.live.take().expect("a background transaction is live");
+        assert_eq!(last.commit().unwrap(), CommitOutcome::Committed);
+        self.commits + 1
+    }
+}
+
 /// The SSI litmus test: classic write skew. T1 snapshot-reads `x` and
 /// writes `y`; T2 snapshot-reads `y` and writes `x`. Each snapshot alone
 /// is consistent, but the pair is not serializable (each read misses the
 /// other's write), completing the dangerous in+out rw-antidependency
 /// structure. The first committer wins; the second must be refused with
 /// [`AbortReason::SsiConflict`].
-fn write_skew_is_refused(shards: usize) {
+///
+/// With `background`, a [`Background`] stream ticks between every step,
+/// so the database never quiesces and SSI records retire while the
+/// schedule runs: retirement must not forget anything the refusal needs.
+fn write_skew_is_refused(shards: usize, background: bool) {
     let db = Database::with_config(config(shards));
     let (name_x, name_y) = names_on_distinct_shards(shards);
-    let x = db.register_object(&name_x, Box::new(AdtObject::new(Counter::new()))).unwrap();
-    let y = db.register_object(&name_y, Box::new(AdtObject::new(Counter::new()))).unwrap();
+    let x = db
+        .register_object(&name_x, Box::new(AdtObject::new(Counter::new())))
+        .unwrap();
+    let y = db
+        .register_object(&name_y, Box::new(AdtObject::new(Counter::new())))
+        .unwrap();
+    let mut stream = background.then(|| Background::new(&db));
+    let mut tick = || {
+        if let Some(stream) = stream.as_mut() {
+            stream.tick();
+        }
+    };
 
     let t1 = db.begin_snapshot();
+    tick();
     let t2 = db.begin_snapshot();
+    tick();
 
     // Both reads are served by the versioned path and see the initial
     // state — neither observes the other's pending write.
@@ -303,16 +652,21 @@ fn write_skew_is_refused(shards: usize) {
         t1.exec_call(&x, CounterOp::Read.to_call()).unwrap(),
         sbcc_adt::OpResult::Value(Value::Int(0))
     );
+    tick();
     t1.exec_call(&y, CounterOp::Increment(1).to_call()).unwrap();
+    tick();
     assert_eq!(
         t2.exec_call(&y, CounterOp::Read.to_call()).unwrap(),
         sbcc_adt::OpResult::Value(Value::Int(0)),
         "t2's snapshot read must not see t1's uncommitted increment"
     );
+    tick();
     t2.exec_call(&x, CounterOp::Increment(1).to_call()).unwrap();
+    tick();
 
     // First committer wins.
     assert_eq!(t1.commit().unwrap(), CommitOutcome::Committed);
+    tick();
     // The second commit completes the dangerous structure against the
     // already-committed (unabortable) t1 and must be refused.
     match t2.commit() {
@@ -322,21 +676,173 @@ fn write_skew_is_refused(shards: usize) {
         }) => {}
         other => panic!("write skew must be refused with SsiConflict, got {other:?}"),
     }
+    let background_commits = stream.map_or(0, Background::finish);
 
     let stats = db.stats();
     assert_eq!(stats.aborts_ssi, 1, "exactly one SSI abort");
-    assert_eq!(stats.commits, 1, "only the first committer survives");
+    assert_eq!(
+        stats.commits,
+        1 + background_commits,
+        "only the first committer survives"
+    );
+    if background {
+        assert!(stats.ssi_retired > 0, "records retired during the schedule");
+    }
     db.verify_serializable().unwrap();
 }
 
 #[test]
 fn write_skew_is_refused_single_shard() {
-    write_skew_is_refused(1);
+    write_skew_is_refused(1, false);
 }
 
 #[test]
 fn write_skew_is_refused_across_shards() {
-    write_skew_is_refused(4);
+    write_skew_is_refused(4, false);
+}
+
+#[test]
+fn write_skew_is_refused_without_quiescence_single_shard() {
+    write_skew_is_refused(1, true);
+}
+
+#[test]
+fn write_skew_is_refused_without_quiescence_across_shards() {
+    write_skew_is_refused(4, true);
+}
+
+/// The retirement boundary: a record committed one stamp after the
+/// oldest live transaction began must survive, because that transaction
+/// still conflicts with it. R (snapshot) writes `p` after a concurrent
+/// commit into `p` (an in-conflict) and snapshot-reads `o`; X, begun
+/// just before R commits, then writes `o`. R → X is an rw-antidependency
+/// into the committed pivot R, so X must be refused.
+fn record_committed_after_the_oldest_begin_is_kept(shards: usize) {
+    let db = Database::with_config(config(shards));
+    let (name_o, name_p) = names_on_distinct_shards(shards);
+    let o = db
+        .register_object(&name_o, Box::new(AdtObject::new(Counter::new())))
+        .unwrap();
+    let p = db
+        .register_object(&name_p, Box::new(AdtObject::new(Counter::new())))
+        .unwrap();
+
+    let r = db.begin_snapshot();
+    run_writer(&db, std::slice::from_ref(&p), &[(0, CounterOp::Increment(1).to_call())]);
+    let x = db.begin();
+    r.exec_call(&p, CounterOp::Increment(1).to_call()).unwrap();
+    assert_eq!(
+        r.exec_call(&o, CounterOp::Read.to_call()).unwrap(),
+        sbcc_adt::OpResult::Value(Value::Int(0))
+    );
+    assert_eq!(r.commit().unwrap(), CommitOutcome::Committed);
+    // X is now the oldest live transaction, and R committed exactly one
+    // stamp after X began.
+    x.exec_call(&o, CounterOp::Increment(1).to_call()).unwrap();
+    match x.commit() {
+        Err(CoreError::Aborted {
+            reason: AbortReason::SsiConflict,
+            ..
+        }) => {}
+        other => panic!("X must be refused with SsiConflict, got {other:?}"),
+    }
+    db.verify_serializable().unwrap();
+}
+
+#[test]
+fn record_committed_after_the_oldest_begin_is_kept_single_shard() {
+    record_committed_after_the_oldest_begin_is_kept(1);
+}
+
+#[test]
+fn record_committed_after_the_oldest_begin_is_kept_across_shards() {
+    record_committed_after_the_oldest_begin_is_kept(4);
+}
+
+/// The bound: on a database that never quiesces — a rolling window of
+/// overlapping snapshot readers and classified writers, the oldest
+/// committed as each new one begins — SSI records stay within a small
+/// multiple of the live count. One long-lived classified transaction
+/// pins every record committed after it began; once it ends they drain.
+fn ssi_records_stay_bounded_without_quiescence(shards: usize) {
+    const WINDOW: usize = 4;
+    const BOUND: u64 = 3 * (WINDOW as u64 + 1);
+    let db = Database::with_config(config(shards));
+    let counters: Vec<ObjectHandle> = (0..WINDOW)
+        .map(|i| {
+            db.register_object(format!("c{i}"), Box::new(AdtObject::new(Counter::new())))
+                .unwrap()
+        })
+        .collect();
+    let mut window: std::collections::VecDeque<Transaction> = Default::default();
+    let step = |i: usize, window: &mut std::collections::VecDeque<Transaction>| {
+        let counter = &counters[i % WINDOW];
+        let txn = if i.is_multiple_of(2) {
+            let txn = db.begin_snapshot();
+            txn.exec_call(counter, CounterOp::Read.to_call()).unwrap();
+            txn
+        } else {
+            let txn = db.begin();
+            txn.exec_call(counter, CounterOp::Increment(1).to_call())
+                .unwrap();
+            txn
+        };
+        window.push_back(txn);
+        if window.len() > WINDOW {
+            let oldest = window.pop_front().unwrap();
+            assert_eq!(oldest.commit().unwrap(), CommitOutcome::Committed);
+        }
+    };
+
+    let mut i = 0;
+    while i < 10_000 {
+        step(i, &mut window);
+        i += 1;
+        let records = db.stats().ssi_records;
+        assert!(
+            records <= BOUND,
+            "{records} SSI records with {} live transactions at step {i}",
+            window.len()
+        );
+    }
+
+    let pin = db.begin();
+    let retired_before = db.stats().ssi_retired;
+    for _ in 0..200 {
+        step(i, &mut window);
+        i += 1;
+    }
+    let pinned = db.stats().ssi_records;
+    assert!(
+        pinned >= 200,
+        "the long-lived transaction pins what committed after it began ({pinned} records)"
+    );
+    assert_eq!(pin.commit().unwrap(), CommitOutcome::Committed);
+    let stats = db.stats();
+    assert!(
+        stats.ssi_records <= BOUND,
+        "{} records after the pin ended",
+        stats.ssi_records
+    );
+    assert!(stats.ssi_retired >= retired_before + 190);
+
+    while let Some(txn) = window.pop_front() {
+        assert_eq!(txn.commit().unwrap(), CommitOutcome::Committed);
+    }
+    let stats = db.stats();
+    assert_eq!(stats.ssi_records, 0, "quiescence retires everything");
+    assert_eq!(stats.aborts_ssi, 0);
+    assert_eq!(stats.commits, i as u64 + 1);
+}
+
+#[test]
+fn ssi_records_stay_bounded_without_quiescence_single_shard() {
+    ssi_records_stay_bounded_without_quiescence(1);
+}
+
+#[test]
+fn ssi_records_stay_bounded_without_quiescence_across_shards() {
+    ssi_records_stay_bounded_without_quiescence(4);
 }
 
 /// The non-dangerous half of the guard: a single rw-antidependency (one

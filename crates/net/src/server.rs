@@ -155,7 +155,7 @@ impl ServerShared {
             transactions_in_flight: self.transactions_in_flight.load(Ordering::Relaxed),
             shed_busy: self.shed_busy.load(Ordering::Relaxed),
             read_timeouts: self.read_timeouts.load(Ordering::Relaxed),
-            sessions_auto_aborted: self.sessions_auto_aborted.load(Ordering::Relaxed),
+            sessions_auto_aborted: self.sessions_auto_aborted.load(Ordering::Acquire),
         }
     }
 }
@@ -1008,10 +1008,14 @@ async fn txn_task(
 /// already reached a terminal state (a cancelled in-flight operation
 /// aborts on drop; a pseudo-committed session is guaranteed to commit
 /// and must not be touched).
+///
+/// The teardown is counted only once the abort is done, with `Release`
+/// paired with the `Acquire` load in `ServerShared::net_stats`: whoever
+/// sees the count also sees the transaction terminated.
 async fn auto_abort(shared: &Arc<ServerShared>, txn: &AsyncTransaction) {
-    shared.sessions_auto_aborted.fetch_add(1, Ordering::Relaxed);
     if matches!(txn.state(), Some(TxnState::Active) | Some(TxnState::Blocked)) {
         let session = txn.clone();
         let _ = session.abort().await;
     }
+    shared.sessions_auto_aborted.fetch_add(1, Ordering::Release);
 }
