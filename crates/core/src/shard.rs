@@ -2018,9 +2018,6 @@ impl ShardedKernel {
                 ssi.txns.is_empty() && ssi.sireads.is_empty() && ssi.writers.is_empty(),
                 "SSI state left behind at quiescence"
             );
-            ssi.txns.clear();
-            ssi.sireads.clear();
-            ssi.writers.clear();
             self.ssi_enabled.store(0, Ordering::SeqCst);
         }
         // Raising the floor outside the termination lock is safe: the new

@@ -356,6 +356,7 @@ fn arb_schedule() -> impl Strategy<Value = Vec<Step>> {
 /// non-blocking submission left a request pending in the kernel.
 struct Session {
     txn: Transaction,
+    snapshot: bool,
     pending: bool,
 }
 
@@ -425,8 +426,17 @@ fn run_interleaved(schedule: &[Step], shards: usize, anchor: bool) -> Decisions 
     let mut slots: Vec<Option<Session>> = (0..SLOTS).map(|_| None).collect();
     let mut begun: Vec<TxnId> = Vec::new();
     let mut per_step = Vec::new();
+    // Whether some snapshot has committed, and whether a later step then
+    // began with every slot empty. At that step the new keeper begins
+    // after the snapshot's commit and the old one's abort claims with no
+    // older live transaction, so without the anchor the snapshot's record
+    // must retire there, before the schedule ends.
+    let mut snapshot_committed = false;
+    let mut must_retire = false;
     for step in schedule {
-        keeper = std::mem::replace(&mut keeper, db.begin());
+        must_retire |= snapshot_committed && slots.iter().all(Option::is_none);
+        // The next keeper begins before the previous one drops (aborts).
+        keeper = db.begin();
         if let Step::Op { slot, snapshot, .. } = step {
             if slots[*slot].is_none() {
                 let txn = if *snapshot {
@@ -437,6 +447,7 @@ fn run_interleaved(schedule: &[Step], shards: usize, anchor: bool) -> Decisions 
                 begun.push(txn.id());
                 slots[*slot] = Some(Session {
                     txn,
+                    snapshot: *snapshot,
                     pending: false,
                 });
             }
@@ -462,7 +473,10 @@ fn run_interleaved(schedule: &[Step], shards: usize, anchor: bool) -> Decisions 
                 }
                 Some(_) => {
                     let session = slots[*slot].take().expect("matched above");
-                    format!("{:?}", session.txn.commit())
+                    let outcome = session.txn.commit();
+                    snapshot_committed |=
+                        session.snapshot && matches!(outcome, Ok(CommitOutcome::Committed));
+                    format!("{outcome:?}")
                 }
             },
             Step::Abort(slot) => match slots[*slot].take() {
@@ -476,6 +490,12 @@ fn run_interleaved(schedule: &[Step], shards: usize, anchor: bool) -> Decisions 
             }
         }
         per_step.push(rendered);
+    }
+    if !anchor && must_retire {
+        assert!(
+            db.stats().ssi_retired > 0,
+            "a committed snapshot's record outlived every transaction live at its commit"
+        );
     }
     // Drain: settle and commit whatever can finish; when only blocked
     // sessions remain, abort the first of them.
@@ -628,12 +648,8 @@ impl Background {
 fn write_skew_is_refused(shards: usize, background: bool) {
     let db = Database::with_config(config(shards));
     let (name_x, name_y) = names_on_distinct_shards(shards);
-    let x = db
-        .register_object(&name_x, Box::new(AdtObject::new(Counter::new())))
-        .unwrap();
-    let y = db
-        .register_object(&name_y, Box::new(AdtObject::new(Counter::new())))
-        .unwrap();
+    let x = db.register_object(&name_x, Box::new(AdtObject::new(Counter::new()))).unwrap();
+    let y = db.register_object(&name_y, Box::new(AdtObject::new(Counter::new()))).unwrap();
     let mut stream = background.then(|| Background::new(&db));
     let mut tick = || {
         if let Some(stream) = stream.as_mut() {
