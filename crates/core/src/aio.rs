@@ -17,15 +17,17 @@
 //!
 //! # How it works
 //!
-//! There is **no new kernel, batching or event-delivery code** here. Both
-//! front-ends drive the same [`Database`] internals through the same
-//! per-transaction rendezvous: a blocked request registers a private
-//! waiter slot, and whichever thread drains the kernel event that settles
-//! the transaction fills exactly that slot. The slot is two-variant — a
-//! condvar for a parked thread, a [`std::task::Waker`] for a suspended
-//! future — and the fill path serves both, so every scheduling decision,
-//! admission, blocking and wakeup is *identical* between the two APIs
-//! (pinned by the async-vs-sync differential proptest suite in
+//! There is **one session implementation**, and it is asynchronous. Every
+//! operation that can wait is written once, as a future, on the session
+//! both front-ends own: an [`AsyncTransaction`] awaits those futures,
+//! and a sync [`crate::Transaction`] drives the very same futures with
+//! [`block_on`]. A blocked request registers a private waiter slot, and
+//! whichever thread drains the kernel event that settles the transaction
+//! fills exactly that slot and wakes the [`std::task::Waker`] stored in
+//! it — a task's waker here, the parked thread's signal under
+//! `block_on`. So every scheduling decision, admission, blocking and
+//! wakeup is *identical* between the two APIs (pinned by the
+//! async-vs-sync differential proptest suite in
 //! `crates/core/tests/async_differential.rs`).
 //!
 //! # Executor-agnostic
@@ -58,7 +60,8 @@
 //! | `txn.batch().op(…).submit()?`        | `txn.batch().op(…).submit().await?`             |
 //! | `txn.commit()?` / `txn.abort()?`     | `txn.commit().await?` / `txn.abort().await?`    |
 //! | `db.run(\|txn\| …)?`                 | `db.run(\|txn\| async move { … }).await?`       |
-//! | blocked ⇒ the OS thread parks        | blocked ⇒ the future suspends                   |
+//! | `run` retries at once                | `run` yields an id-hashed number of times first |
+//! | blocked ⇒ `block_on` parks the thread| blocked ⇒ the future suspends                   |
 //! | dropping the guard aborts            | dropping the last handle aborts                 |
 //!
 //! Two deliberate differences:
@@ -111,16 +114,14 @@
 //! assert_eq!(top, OpResult::Value(Value::Int(42)));
 //! ```
 
-use crate::db::{
-    BatchCalls, BatchPass, BatchRun, Database, Handle, ObjectHandle, SessionCore, WaiterSlot,
-};
+use crate::chaos::sync::{Condvar, Mutex};
+use crate::db::{BatchBuilder, Database, Handle, ObjectHandle, Session};
 use crate::errors::CoreError;
 use crate::events::{CommitOutcome, RequestOutcome};
 use crate::policy::SchedulerConfig;
 use crate::shard::DatabaseConfig;
 use crate::stats::{KernelStats, StatsSnapshot};
 use crate::txn::{TxnId, TxnState};
-use crate::chaos::sync::{Condvar, Mutex};
 use sbcc_adt::{AdtOp, AdtSpec, OpCall, OpResult, SemanticObject};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -213,12 +214,7 @@ impl AsyncDatabase {
     /// explicit [`AsyncTransaction::commit`] / [`AsyncTransaction::abort`].
     pub fn begin(&self) -> AsyncTransaction {
         AsyncTransaction {
-            inner: Rc::new(TxnInner {
-                core: self.db.begin_session(),
-                db: self.db.clone(),
-                finished: Cell::new(false),
-                waiting: Cell::new(false),
-            }),
+            session: Rc::new(self.db.open_session(false)),
         }
     }
 
@@ -229,12 +225,7 @@ impl AsyncDatabase {
     /// [`Database::begin_snapshot`], which documents the semantics.
     pub fn begin_snapshot(&self) -> AsyncTransaction {
         AsyncTransaction {
-            inner: Rc::new(TxnInner {
-                core: self.db.begin_snapshot_session(),
-                db: self.db.clone(),
-                finished: Cell::new(false),
-                waiting: Cell::new(false),
-            }),
+            session: Rc::new(self.db.open_session(true)),
         }
     }
 
@@ -281,7 +272,6 @@ impl AsyncDatabase {
     where
         Fut: Future<Output = Result<R, CoreError>>,
     {
-        let max_retries = self.db.max_retries();
         let mut attempts: usize = 0;
         loop {
             attempts += 1;
@@ -295,28 +285,7 @@ impl AsyncDatabase {
                 },
                 Err(e) => e,
             };
-            // The commit-side `InvalidState { state: Aborted }` is a cycle
-            // victim picked between the body's last operation and the
-            // commit. The body-side one is the same race as in
-            // `Database::run` — a victim abort observed as a terminated
-            // state before its abort event (with the reason) reaches the
-            // session layer — and also covers cancellation aborts of this
-            // attempt's own operation futures.
-            let retryable = err.is_scheduler_abort_of(id)
-                || matches!(
-                    err,
-                    CoreError::InvalidState {
-                        txn: t,
-                        state: TxnState::Aborted,
-                        ..
-                    } if t == id
-                );
-            if !retryable {
-                return Err(err);
-            }
-            if attempts > max_retries {
-                return Err(CoreError::RetriesExhausted { txn: id, attempts });
-            }
+            self.db.retry_or_fail(err, id, attempts)?;
             // Back off before retrying: two mirrored bodies retried at
             // once on one executor re-create their deadlock in lockstep.
             for _ in 0..retry_yields(id, attempts) {
@@ -376,31 +345,6 @@ fn retry_yields(id: TxnId, attempts: usize) -> u64 {
 // AsyncTransaction
 // ---------------------------------------------------------------------
 
-/// The session state behind every clone of one [`AsyncTransaction`].
-#[derive(Debug)]
-struct TxnInner {
-    db: Database,
-    core: SessionCore,
-    finished: Cell<bool>,
-    /// `true` while a [`Settled`] future of this session holds the
-    /// registered waiter slot. A session has **one** waiter slot, so a
-    /// second clone trying to await concurrently (e.g. two
-    /// `settle_pending` calls racing) is rejected instead of silently
-    /// overwriting the first waiter's slot — which would strand the first
-    /// future forever.
-    waiting: Cell<bool>,
-}
-
-impl Drop for TxnInner {
-    fn drop(&mut self) {
-        if !self.finished.get() {
-            // Best effort, exactly like the sync guard: the transaction
-            // may already be terminated (scheduler abort, pseudo-commit).
-            let _ = self.db.abort_raw(self.core.id());
-        }
-    }
-}
-
 /// An async transaction session: the futures-based counterpart of
 /// [`crate::Transaction`].
 ///
@@ -418,27 +362,34 @@ impl Drop for TxnInner {
 /// [`AsyncTransaction::abort`]. The handle is deliberately `!Send`: a
 /// session is driven by one thread, like the sync guard (the `Database`
 /// and its wakeups remain fully thread-safe underneath).
+///
+/// ```compile_fail,E0277
+/// use sbcc_core::{aio::AsyncDatabase, SchedulerConfig};
+/// let db = AsyncDatabase::new(SchedulerConfig::default());
+/// let txn = db.begin();
+/// std::thread::spawn(move || txn.id());
+/// ```
 #[derive(Clone, Debug)]
 pub struct AsyncTransaction {
-    inner: Rc<TxnInner>,
+    session: Rc<Session>,
 }
 
 impl AsyncTransaction {
     /// The raw transaction id (for diagnostics and the inspection APIs on
     /// [`AsyncDatabase`]).
     pub fn id(&self) -> TxnId {
-        self.inner.core.id()
+        self.session.id()
     }
 
     /// The transaction's current scheduler state.
     pub fn state(&self) -> Option<TxnState> {
-        self.inner.db.txn_state(self.id())
+        self.session.state()
     }
 
     /// The snapshot begin stamp for sessions opened through
     /// [`AsyncDatabase::begin_snapshot`], `None` for ordinary sessions.
     pub fn snapshot_stamp(&self) -> Option<u64> {
-        self.inner.core.snapshot()
+        self.session.snapshot_stamp()
     }
 
     /// Execute a typed operation; the future resolves once the operation
@@ -449,7 +400,7 @@ impl AsyncTransaction {
         object: &Handle<A>,
         op: A::Op,
     ) -> Result<OpResult, CoreError> {
-        self.exec_call(object, op.to_call()).await
+        self.session.exec_call(object, op.to_call()).await
     }
 
     /// Execute an erased operation call, suspending while in conflict.
@@ -460,16 +411,7 @@ impl AsyncTransaction {
         object: &ObjectHandle,
         call: OpCall,
     ) -> Result<OpResult, CoreError> {
-        let inner = &self.inner;
-        let id = inner.core.id();
-        let outcome = inner.db.try_exec_call_raw(&inner.core, object.loc(), call)?;
-        let outcome = if outcome.is_blocked() {
-            self.settled()?.await
-        } else {
-            outcome
-        };
-        inner.core.set_pending(false);
-        outcome.into_result(id)
+        self.session.exec_call(object, call).await
     }
 
     /// Submit an operation without suspending: returns the raw kernel
@@ -482,35 +424,22 @@ impl AsyncTransaction {
         object: &ObjectHandle,
         call: OpCall,
     ) -> Result<RequestOutcome, CoreError> {
-        self.inner
-            .db
-            .try_exec_call_raw(&self.inner.core, object.loc(), call)
+        self.session.try_exec_call(object, call)
     }
 
     /// Claim the outcome of a previously blocked submission
     /// ([`AsyncTransaction::try_exec_call`] returning
-    /// [`RequestOutcome::Blocked`]), suspending until it settles. The
-    /// async counterpart of [`crate::Transaction::settle_pending`]: a
-    /// result that settled while nothing awaited it (kept in the
-    /// database's `delivered` map) is claimed without suspending at all.
+    /// [`RequestOutcome::Blocked`]), suspending until it settles. A result
+    /// that settled while nothing awaited it (kept in the database's
+    /// `delivered` map) is claimed without suspending at all.
     pub async fn settle_pending(&self) -> Result<OpResult, CoreError> {
-        let inner = &self.inner;
-        let id = inner.core.id();
-        if !inner.core.pending() {
-            return Err(CoreError::NoPendingOperation(id));
-        }
-        let outcome = self.settled()?.await;
-        inner.core.set_pending(false);
-        outcome.into_result(id)
+        self.session.settle_pending().await
     }
 
-    /// Start building a grouped submission. See [`AsyncBatch`] (and
-    /// [`crate::Batch`] for the shared partial-admission semantics).
+    /// Start building a grouped submission. See [`BatchBuilder`] for the
+    /// partial-admission semantics both front-ends share.
     pub fn batch(&self) -> AsyncBatch {
-        AsyncBatch {
-            txn: self.clone(),
-            group: BatchCalls::default(),
-        }
+        BatchBuilder::new(self.clone())
     }
 
     /// Commit the transaction (actual or pseudo-commit, per the
@@ -523,213 +452,28 @@ impl AsyncTransaction {
     /// commit (e.g. a pending blocked request) leaves the auto-abort
     /// armed, exactly like the sync guard.
     pub async fn commit(self) -> Result<CommitOutcome, CoreError> {
-        let result = self.inner.db.commit_raw(self.id());
-        if result.is_ok() {
-            self.inner.finished.set(true);
-        }
-        result
+        self.session.commit()
     }
 
     /// Explicitly abort the transaction. Never suspends; a future for API
     /// symmetry only.
     pub async fn abort(self) -> Result<(), CoreError> {
-        self.inner.finished.set(true);
-        self.inner.db.abort_raw(self.id())
-    }
-
-    /// A future resolving to the settled outcome of this session's
-    /// pending request: either claims an already-delivered outcome or
-    /// registers this session's waiter slot **now** (before first poll),
-    /// so a wakeup can never slip between submission and registration.
-    ///
-    /// Errors when another clone of this session is already awaiting the
-    /// outcome: a session has exactly one waiter slot, and a second
-    /// registration would orphan the first waiter.
-    fn settled(&self) -> Result<Settled, CoreError> {
-        if self.inner.waiting.get() {
-            return Err(CoreError::InvalidState {
-                txn: self.id(),
-                state: TxnState::Blocked,
-                action: "await an outcome another clone is already awaiting",
-            });
-        }
-        self.inner.waiting.set(true);
-        Ok(match self.inner.db.claim_or_wait(self.id()) {
-            Ok(outcome) => Settled {
-                inner: self.inner.clone(),
-                slot: None,
-                ready: Some(outcome),
-                completed: false,
-            },
-            Err(slot) => Settled {
-                inner: self.inner.clone(),
-                slot: Some(slot),
-                ready: None,
-                completed: false,
-            },
-        })
+        self.session.abort()
     }
 }
 
-/// Future for the settled outcome of a session's pending request.
-///
-/// **Cancellation aborts**: dropping this future before it resolves
-/// leaves nobody to claim the outcome of a request that may stay blocked
-/// inside a shard kernel indefinitely — so the drop glue unregisters the
-/// waiter slot and aborts the transaction, which also unblocks every
-/// session waiting *on* this transaction. See the [module docs](self).
-struct Settled {
-    inner: Rc<TxnInner>,
-    slot: Option<Arc<WaiterSlot>>,
-    ready: Option<RequestOutcome>,
-    completed: bool,
-}
-
-impl Future for Settled {
-    type Output = RequestOutcome;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<RequestOutcome> {
-        let this = self.get_mut();
-        if let Some(outcome) = this.ready.take() {
-            this.completed = true;
-            this.inner.waiting.set(false);
-            return Poll::Ready(outcome);
-        }
-        let slot = this.slot.as_ref().expect("Settled polled after completion");
-        match slot.poll_outcome(cx) {
-            Poll::Ready(outcome) => {
-                this.completed = true;
-                this.inner.waiting.set(false);
-                this.slot = None;
-                Poll::Ready(outcome)
-            }
-            Poll::Pending => Poll::Pending,
-        }
-    }
-}
-
-impl Drop for Settled {
-    fn drop(&mut self) {
-        if self.completed {
-            return;
-        }
-        self.inner.waiting.set(false);
-        // Cancelled mid-wait. Unregister the slot first so the abort's own
-        // event delivery does not fill a waiter nobody owns anymore; an
-        // outcome that raced in is deliberately discarded — the caller
-        // abandoned it.
-        if let Some(slot) = self.slot.take() {
-            let _ = self.inner.db.cancel_wait(self.inner.core.id(), &slot);
-        }
-        self.inner.core.set_pending(false);
-        if !self.inner.finished.get() {
-            self.inner.finished.set(true);
-            let _ = self.inner.db.abort_raw(self.inner.core.id());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// AsyncBatch
-// ---------------------------------------------------------------------
-
-/// Builder for an async grouped submission: the futures counterpart of
-/// [`crate::Batch`], with identical partial-admission semantics (the two
-/// share the batch state machine; only the waiting differs). Calls
-/// execute in the order they were added; [`AsyncBatch::submit`] resolves
-/// once every call has executed, suspending as often as needed.
-#[derive(Debug)]
-pub struct AsyncBatch {
-    txn: AsyncTransaction,
-    /// The call/location bookkeeping shared with the sync [`crate::Batch`].
-    group: BatchCalls,
-}
+/// The async grouped-submission builder: [`BatchBuilder`] over an
+/// [`AsyncTransaction`]. [`AsyncBatch::submit`] resolves once every call
+/// has executed, suspending as often as needed.
+pub type AsyncBatch = BatchBuilder<AsyncTransaction>;
 
 impl AsyncBatch {
-    /// Append a typed operation (chaining form).
-    pub fn op<A: AdtSpec>(mut self, object: &Handle<A>, op: A::Op) -> Self {
-        self.add_op(object, op);
-        self
-    }
-
-    /// Append an erased call (chaining form).
-    pub fn call(mut self, object: &ObjectHandle, call: OpCall) -> Self {
-        self.add_call(object, call);
-        self
-    }
-
-    /// Append a typed operation (mutating form, for loops).
-    pub fn add_op<A: AdtSpec>(&mut self, object: &Handle<A>, op: A::Op) {
-        self.add_call(object, op.to_call());
-    }
-
-    /// Append an erased call (mutating form, for loops).
-    pub fn add_call(&mut self, object: &ObjectHandle, call: OpCall) {
-        self.group.push(object, call);
-    }
-
-    /// Declare that this batch only *reads* `object` (chaining form); see
-    /// [`crate::Batch::declare_read`] for the group-admission contract —
-    /// the async builder shares it verbatim.
-    pub fn declare_read(mut self, object: &ObjectHandle) -> Self {
-        self.add_declare_read(object);
-        self
-    }
-
-    /// Declare that this batch may *write* `object` (chaining form; a
-    /// write declaration covers reads too).
-    pub fn declare_write(mut self, object: &ObjectHandle) -> Self {
-        self.add_declare_write(object);
-        self
-    }
-
-    /// Declare a read access (mutating form, for loops).
-    pub fn add_declare_read(&mut self, object: &ObjectHandle) {
-        self.group.declare_read(object);
-    }
-
-    /// Declare a write access (mutating form, for loops).
-    pub fn add_declare_write(&mut self, object: &ObjectHandle) {
-        self.group.declare_write(object);
-    }
-
-    /// Number of calls queued so far.
-    pub fn len(&self) -> usize {
-        self.group.len()
-    }
-
-    /// `true` when no calls are queued.
-    pub fn is_empty(&self) -> bool {
-        self.group.is_empty()
-    }
-
     /// Submit the group; the future resolves once **every** call has
     /// executed, with one result per call in submission order, or with
     /// the abort error if the scheduler aborts the transaction along the
     /// way.
     pub async fn submit(self) -> Result<Vec<OpResult>, CoreError> {
-        if self.group.is_empty() {
-            return Ok(Vec::new());
-        }
-        let txn = self.txn;
-        let inner = &txn.inner;
-        let mut run = BatchRun::new(self.group);
-        loop {
-            match inner.db.batch_pass(&inner.core, &mut run)? {
-                BatchPass::Complete => return Ok(run.into_results()),
-                BatchPass::MustWait => {
-                    // Guard the session against concurrent submissions
-                    // from other clones while the terminator is pending,
-                    // exactly like a blocked `try_exec_call`.
-                    inner.core.set_pending(true);
-                    let outcome = txn.settled()?.await;
-                    inner.core.set_pending(false);
-                    if inner.db.batch_resume(&inner.core, &mut run, outcome)? {
-                        return Ok(run.into_results());
-                    }
-                }
-            }
-        }
+        self.txn.session.submit_batch(self.group).await
     }
 }
 
@@ -771,16 +515,28 @@ impl Wake for Signal {
 /// thread between polls.
 ///
 /// This is the minimal current-thread entry point the module's futures
-/// need — no runtime crate involved. Wakeups may come from any thread
-/// (e.g. a sync session's commit delivering an outcome), so the waker is
-/// a thread-safe condvar signal. For *many* concurrent sessions, spawn
-/// them on a [`LocalExecutor`] (or any other executor) instead of
+/// need — no runtime crate involved — and it is how every sync
+/// [`crate::Transaction`] operation waits. Wakeups may come from any
+/// thread (e.g. another session's commit delivering an outcome), so the
+/// waker is a thread-safe condvar signal. For *many* concurrent sessions,
+/// spawn them on a [`LocalExecutor`] (or any other executor) instead of
 /// chaining `block_on` calls.
 pub fn block_on<F: Future>(future: F) -> F::Output {
+    let mut future = std::pin::pin!(future);
+    // Most session operations never wait, so the first poll uses a no-op
+    // waker and the signal is only allocated once the future is pending.
+    // The poll right after re-registers the real waker (a session waiter
+    // does so under its slot lock), so a wakeup that fired in between is
+    // not lost: its outcome is already visible to that poll.
+    if let Poll::Ready(value) = future
+        .as_mut()
+        .poll(&mut Context::from_waker(Waker::noop()))
+    {
+        return value;
+    }
     let signal = Signal::new();
     let waker = Waker::from(signal.clone());
     let mut cx = Context::from_waker(&waker);
-    let mut future = std::pin::pin!(future);
     loop {
         match future.as_mut().poll(&mut cx) {
             Poll::Ready(value) => return value,

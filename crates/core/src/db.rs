@@ -45,52 +45,35 @@
 //! assert_eq!(db.shard_count(), 4);
 //! ```
 //!
-//! With one shard the behaviour is exactly the PR-2 single-kernel
-//! database. With several, everything session-visible stays the same —
+//! With one shard there is a single kernel. With several, everything session-visible stays the same —
 //! handles, blocking, batches, retry semantics, aggregate [`KernelStats`]
 //! — and [`Database::stats_snapshot`] additionally exposes the per-shard
 //! breakdown. See the [`crate::shard`] module docs for the sharding
 //! invariants and the cross-shard commit protocol.
 //!
-//! # Migration from the PR-1 free-function API
-//!
-//! | old call                           | session call                          |
-//! |------------------------------------|---------------------------------------|
-//! | `db.begin() -> TxnId`              | `db.begin() -> Transaction`           |
-//! | `db.invoke(txn, &h, op)`           | `txn.exec(&h, op)`                    |
-//! | `db.invoke_call(txn, &h, call)`    | `txn.exec_call(&h, call)`             |
-//! | `db.try_invoke_call(txn, &h, call)`| `txn.try_exec_call(&h, call)`         |
-//! | `db.commit(txn)`                   | `txn.commit()`                        |
-//! | `db.abort(txn)`                    | `txn.abort()` (or just drop the guard)|
-//! | *(n/a)*                            | `db.run(\|txn\| …)`                   |
-//! | *(n/a)*                            | `txn.batch().op(…).op(…).submit()`    |
-//!
-//! PR-3 note: `db.with_kernel(|k| …)` (which borrowed *the* kernel) is
-//! replaced by [`Database::with_sharded_kernel`] /
-//! [`crate::shard::ShardedKernel::with_shard`].
-//!
 //! # Blocking and wakeups
 //!
-//! A blocked request parks the calling OS thread until a conflicting
-//! transaction terminates. Wakeups are **per transaction**: each parked
-//! invocation registers a private waiter slot, and the kernel's event
-//! stream delivers an outcome directly into the slot of exactly the
-//! transaction it concerns. A commit therefore wakes only the threads
-//! whose transactions it actually unblocked — there is no global
-//! broadcast that stampedes every parked thread on every termination.
+//! A sync session and an async one are the same session: every operation
+//! that can wait is written once, as a future, on the crate-private
+//! `Session` both front-ends own. [`Transaction`] drives those futures
+//! with [`crate::aio::block_on`], which parks the calling OS thread while
+//! the operation conflicts; [`crate::aio::AsyncTransaction`] awaits them
+//! and suspends its task instead. The scheduler's decision for a request
+//! is therefore the same whichever front-end submits it.
 //!
-//! The slot is **two-variant**: a sync session sleeps on its condvar,
-//! while an async session ([`crate::aio`]) registers a
-//! [`std::task::Waker`] in the same slot and suspends its future. The
-//! fill path serves both, so the kernel, batching and event-delivery
-//! layers are completely agnostic to how a waiter sleeps — if parking a
-//! thread per blocked transaction is your bottleneck, switch to
+//! Wakeups are **per transaction**: a blocked request registers a private
+//! waiter slot, and the kernel's event stream delivers an outcome directly
+//! into the slot of exactly the transaction it concerns, waking the
+//! [`std::task::Waker`] stored there. A commit therefore wakes only the
+//! sessions whose transactions it actually unblocked — there is no global
+//! broadcast that stampedes every waiter on every termination. If parking
+//! a thread per blocked transaction is your bottleneck, switch to
 //! [`crate::aio::AsyncDatabase`] (migration table in the [`crate::aio`]
 //! module docs) and multiplex thousands of sessions on one thread.
 //!
-//! An outcome that settles while no thread is parked (possible after a
+//! An outcome that settles while no session is waiting (possible after a
 //! non-blocking [`Transaction::try_exec_call`], or when the kernel's
-//! internal retry settles a request before the caller parks) is kept in a
+//! internal retry settles a request before the caller waits) is kept in a
 //! `delivered` map and claimed by the next [`Transaction::settle_pending`]
 //! call.
 //!
@@ -126,7 +109,8 @@
 //! assert_eq!(top, OpResult::Value(Value::Int(42)));
 //! ```
 
-use crate::chaos::{self, sync::Condvar, sync::Mutex, ChaosPoint};
+use crate::aio::block_on;
+use crate::chaos::{self, sync::Mutex, ChaosPoint};
 use crate::errors::CoreError;
 use crate::events::{BatchStop, CommitOutcome, KernelEvent, RequestOutcome};
 use crate::object::ObjectId;
@@ -135,10 +119,13 @@ use crate::shard::{DatabaseConfig, ObjectLoc, ShardedKernel};
 use crate::stats::{KernelStats, StatsSnapshot};
 use crate::txn::{BatchCall, TxnId, TxnState};
 use sbcc_adt::{AccessSet, AdtOp, AdtSpec, OpCall, OpResult, SemanticObject};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::future::Future;
 use std::marker::PhantomData;
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// A handle to an object registered with a [`Database`].
 ///
@@ -228,63 +215,41 @@ impl<A: AdtSpec> Handle<A> {
 }
 
 /// One waiting invocation's private rendezvous: the delivering thread
-/// stores the outcome and wakes the owner — *however the owner sleeps*.
+/// stores the outcome and wakes the [`Waker`] of the owner's last poll.
 ///
-/// The slot is the two-variant waiter the async front-end rides on:
-///
-/// * a **sync** session parks its OS thread on the condvar
-///   ([`WaiterSlot::await_outcome`]);
-/// * an **async** session stores a [`Waker`] and suspends its future
-///   ([`WaiterSlot::poll_outcome`]).
-///
-/// [`WaiterSlot::fill`] serves both at once (it signals the condvar *and*
-/// wakes a registered waker), so every shard wakeup path stays completely
-/// agnostic to which front-end is waiting. A slot has exactly one owner;
-/// only the delivery side is shared.
+/// Every session waits the same way, by polling its slot from a future
+/// ([`WaiterSlot::poll_outcome`]); a sync [`Transaction`] drives that
+/// future with [`block_on`], whose waker unparks the blocked thread. So
+/// the shard wakeup paths never know which front-end is waiting. A slot
+/// has exactly one owner; only the delivery side is shared.
 #[derive(Default)]
-pub(crate) struct WaiterSlot {
+struct WaiterSlot {
     state: Mutex<SlotState>,
-    cond: Condvar,
 }
 
 #[derive(Default)]
 struct SlotState {
     outcome: Option<RequestOutcome>,
-    /// The waker of the async task awaiting this slot, when the owner is a
-    /// future rather than a parked thread. Re-registered on every poll, so
+    /// The waker of the owner's last poll. Re-registered on every poll, so
     /// a task that migrates executors between polls still wakes correctly.
-    waker: Option<std::task::Waker>,
+    waker: Option<Waker>,
 }
 
 impl WaiterSlot {
-    /// Deliver an outcome and wake the (single) owner, whether it is a
-    /// parked thread or a suspended future.
+    /// Deliver an outcome and wake the (single) owner.
     fn fill(&self, outcome: RequestOutcome) {
         let waker = {
             let mut state = self.state.lock();
             state.outcome = Some(outcome);
             state.waker.take()
         };
-        self.cond.notify_one();
         if let Some(waker) = waker {
             waker.wake();
         }
     }
 
-    /// Park the calling OS thread until an outcome is delivered (the sync
-    /// variant).
-    fn await_outcome(&self) -> RequestOutcome {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(outcome) = state.outcome.take() {
-                return outcome;
-            }
-            self.cond.wait(&mut state);
-        }
-    }
-
-    /// The async variant: return the outcome if it has been delivered,
-    /// otherwise register `cx`'s waker and suspend.
+    /// Return the outcome if it has been delivered, otherwise register
+    /// `cx`'s waker and suspend.
     ///
     /// The outcome check and the waker registration happen under the same
     /// lock [`WaiterSlot::fill`] takes, so the wake-before-poll race is
@@ -292,113 +257,38 @@ impl WaiterSlot {
     /// (returned now), and a fill racing this poll either sees the freshly
     /// stored waker or lost the lock to us and its outcome is already
     /// visible.
-    pub(crate) fn poll_outcome(&self, cx: &mut std::task::Context<'_>) -> std::task::Poll<RequestOutcome> {
+    fn poll_outcome(&self, cx: &mut Context<'_>) -> Poll<RequestOutcome> {
         let mut state = self.state.lock();
         match state.outcome.take() {
-            Some(outcome) => std::task::Poll::Ready(outcome),
+            Some(outcome) => Poll::Ready(outcome),
             None => {
                 state.waker = Some(cx.waker().clone());
-                std::task::Poll::Pending
+                Poll::Pending
             }
         }
     }
 
     /// Take the outcome if one has been delivered (used when a cancelled
-    /// async waiter unregisters itself).
-    pub(crate) fn try_take(&self) -> Option<RequestOutcome> {
+    /// waiter unregisters itself).
+    fn try_take(&self) -> Option<RequestOutcome> {
         self.state.lock().outcome.take()
     }
 }
 
 /// The rendezvous state: one map of settled-but-unclaimed outcomes, one map
-/// of parked invocations. Guarded by its own small mutex, separate from the
+/// of waiting invocations. Guarded by its own small mutex, separate from the
 /// shard kernels — delivering a wakeup never holds a kernel lock.
 #[derive(Default)]
 struct SessionState {
     /// Outcomes delivered to transactions whose pending request completed
-    /// while no thread was parked waiting for it (e.g. after a
+    /// while no session was waiting for it (e.g. after a
     /// non-blocking [`Transaction::try_exec_call`]); claimed by
     /// [`Transaction::settle_pending`] or discarded by the transaction's
     /// next submission or termination.
     delivered: HashMap<TxnId, RequestOutcome>,
-    /// The waiter slot of every currently waiting invocation (parked
-    /// thread or suspended future), by transaction.
+    /// The waiter slot of every currently waiting invocation, by
+    /// transaction.
     waiters: HashMap<TxnId, Arc<WaiterSlot>>,
-}
-
-/// The session-local bookkeeping shared by the sync [`Transaction`] guard
-/// and the async [`crate::aio::AsyncTransaction`]: the transaction id, the
-/// enrollment cache and the pending-request flag. Both front-ends drive
-/// the same [`Database`] internals through this one core, so the kernel,
-/// batching and event-delivery paths never know which of the two is
-/// calling.
-pub(crate) struct SessionCore {
-    id: TxnId,
-    /// Session-local cache of the shards this transaction is enrolled in.
-    /// Lets the steady-state exec path skip the cross-shard coordinator
-    /// (the cache is sound because enrollment only ever grows while the
-    /// transaction is live). A `RefCell` suffices: sessions are `!Sync`.
-    enrolled: RefCell<Vec<u32>>,
-    /// `true` while a non-blocking submission is blocked inside a shard
-    /// kernel with its outcome unclaimed. The session layer uses it to
-    /// enforce the single-kernel contract across shards (no further
-    /// submissions while blocked — another shard's kernel would not know)
-    /// and to settle without racing the outcome delivery.
-    pending: std::cell::Cell<bool>,
-    /// `Some(begin stamp)` for sessions opened through
-    /// [`Database::begin_snapshot`] / `AsyncDatabase::begin_snapshot`:
-    /// read-only operations route to the multi-version snapshot path
-    /// (reading the newest committed version at or below the stamp);
-    /// everything else takes the ordinary classified path.
-    snapshot: Option<u64>,
-}
-
-impl std::fmt::Debug for SessionCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionCore")
-            .field("id", &self.id)
-            .field("pending", &self.pending.get())
-            .finish_non_exhaustive()
-    }
-}
-
-impl SessionCore {
-    fn new(id: TxnId) -> Self {
-        SessionCore {
-            id,
-            enrolled: RefCell::new(Vec::new()),
-            pending: std::cell::Cell::new(false),
-            snapshot: None,
-        }
-    }
-
-    fn new_snapshot(id: TxnId, begin: u64) -> Self {
-        SessionCore {
-            snapshot: Some(begin),
-            ..SessionCore::new(id)
-        }
-    }
-
-    /// The transaction this session drives.
-    pub(crate) fn id(&self) -> TxnId {
-        self.id
-    }
-
-    /// The snapshot begin stamp, for sessions opened through
-    /// `begin_snapshot`.
-    pub(crate) fn snapshot(&self) -> Option<u64> {
-        self.snapshot
-    }
-
-    /// Whether a blocked submission's outcome is still unclaimed.
-    pub(crate) fn pending(&self) -> bool {
-        self.pending.get()
-    }
-
-    /// Set or clear the pending flag.
-    pub(crate) fn set_pending(&self, pending: bool) {
-        self.pending.set(pending);
-    }
 }
 
 struct Shared {
@@ -410,7 +300,7 @@ struct Shared {
     /// fast path (nothing ever delivered — the overwhelmingly common
     /// case) skips the sessions mutex entirely. Only advisory: a zero
     /// reading is sound because a delivery for transaction `T` can only
-    /// exist while `T` has a parked/pending request, and `T`'s own session
+    /// exist while `T` has a pending request, and `T`'s own session
     /// thread — the only reader of `T`'s entries — is not submitting then.
     delivered_count: std::sync::atomic::AtomicUsize,
     /// Cached [`crate::shard::DECLARED_ENV`] reading: when `true`, batches
@@ -689,17 +579,28 @@ impl Database {
     /// explicit [`Transaction::commit`] or [`Transaction::abort`].
     pub fn begin(&self) -> Transaction {
         Transaction {
-            core: self.begin_session(),
-            db: self.clone(),
-            finished: false,
-            _not_sync: PhantomData,
+            session: self.open_session(false),
         }
     }
 
-    /// Begin a transaction and hand back the bare session core (shared
-    /// entry point of the sync and async front-ends).
-    pub(crate) fn begin_session(&self) -> SessionCore {
-        SessionCore::new(self.shared.kernel.begin())
+    /// Begin a transaction (a snapshot one when `snapshot`) and wrap it in
+    /// a [`Session`]: the one entry point of both front-ends.
+    pub(crate) fn open_session(&self, snapshot: bool) -> Session {
+        let (id, snapshot) = if snapshot {
+            let (id, begin) = self.shared.kernel.begin_snapshot();
+            (id, Some(begin))
+        } else {
+            (self.shared.kernel.begin(), None)
+        };
+        Session {
+            db: self.clone(),
+            id,
+            enrolled: RefCell::default(),
+            pending: Cell::new(false),
+            snapshot,
+            finished: Cell::new(false),
+            waiting: Cell::new(false),
+        }
     }
 
     /// Begin a **snapshot** transaction session: read-only operations
@@ -739,18 +640,8 @@ impl Database {
     /// ```
     pub fn begin_snapshot(&self) -> Transaction {
         Transaction {
-            core: self.begin_snapshot_session(),
-            db: self.clone(),
-            finished: false,
-            _not_sync: PhantomData,
+            session: self.open_session(true),
         }
-    }
-
-    /// [`Database::begin_snapshot`] returning the bare session core
-    /// (shared entry point of the sync and async front-ends).
-    pub(crate) fn begin_snapshot_session(&self) -> SessionCore {
-        let (id, begin) = self.shared.kernel.begin_snapshot();
-        SessionCore::new_snapshot(id, begin)
     }
 
     /// Run a transaction body, committing on success and transparently
@@ -846,7 +737,6 @@ impl Database {
         &self,
         mut body: impl FnMut(&Transaction) -> Result<R, CoreError>,
     ) -> Result<R, CoreError> {
-        let max_retries = self.max_retries();
         let mut attempts: usize = 0;
         loop {
             attempts += 1;
@@ -859,38 +749,53 @@ impl Database {
                 },
                 Err(e) => e,
             };
-            // The commit-side `InvalidState { state: Aborted }` means the
-            // transaction was picked as a cycle victim between the body's
-            // last operation and the commit. The body-side one is a victim
-            // abort racing the delivery of its outcome: another session's
-            // thread aborts this attempt's transaction inside a shard, and
-            // this thread's next submission observes the terminated state
-            // *before* the abort event (with its reason) reaches the
-            // session layer. The attempt's own transaction can only be
-            // `Aborted` without this closure's involvement by the
-            // scheduler — the guard API offers the closure no way to abort
-            // it — so both are scheduler aborts and retried like one.
-            let retryable = err.is_scheduler_abort_of(id)
-                || matches!(
-                    err,
-                    CoreError::InvalidState {
-                        txn: t,
-                        state: TxnState::Aborted,
-                        ..
-                    } if t == id
-                );
-            if !retryable {
-                return Err(err);
-            }
-            if attempts > max_retries {
-                return Err(CoreError::RetriesExhausted { txn: id, attempts });
-            }
+            self.retry_or_fail(err, id, attempts)?;
         }
     }
 
-    /// The configured retry budget shared by both closure runners.
-    pub(crate) fn max_retries(&self) -> usize {
-        self.shared.kernel.config().scheduler.max_retries
+    /// The retry decision both closure runners share: `Ok(())` when
+    /// `err`, raised by attempt number `attempts` running transaction
+    /// `attempt`, restarts the body; otherwise the runner's final error
+    /// (`err` itself, or [`CoreError::RetriesExhausted`] once the budget
+    /// is spent). The rows are the *Retry classes* table of
+    /// [`Database::run`].
+    pub(crate) fn retry_or_fail(
+        &self,
+        err: CoreError,
+        attempt: TxnId,
+        attempts: usize,
+    ) -> Result<(), CoreError> {
+        // The commit-side `InvalidState { state: Aborted }` means the
+        // transaction was picked as a cycle victim between the body's last
+        // operation and the commit. The body-side one is a victim abort
+        // racing the delivery of its outcome: another session's thread
+        // aborts this attempt's transaction inside a shard, and this
+        // session's next submission observes the terminated state *before*
+        // the abort event (with its reason) reaches the session layer; for
+        // an async body it also covers the cancellation abort of one of the
+        // attempt's own operation futures. The attempt's own transaction
+        // can only be `Aborted` without the body's involvement by the
+        // scheduler — neither runner lets the body abort it — so both are
+        // scheduler aborts and retried like one.
+        let retryable = err.is_scheduler_abort_of(attempt)
+            || matches!(
+                err,
+                CoreError::InvalidState {
+                    txn,
+                    state: TxnState::Aborted,
+                    ..
+                } if txn == attempt
+            );
+        if !retryable {
+            return Err(err);
+        }
+        if attempts > self.shared.kernel.config().scheduler.max_retries {
+            return Err(CoreError::RetriesExhausted {
+                txn: attempt,
+                attempts,
+            });
+        }
+        Ok(())
     }
 
     /// The current state of a transaction.
@@ -974,9 +879,8 @@ impl Database {
         self.shared.kernel.check_invariants()
     }
 
-    /// Run a closure against the sharded kernel (advanced / test use).
-    /// Replaces the PR-2 `with_kernel` (there is no longer a single kernel
-    /// to borrow; use [`ShardedKernel::with_shard`] for one shard).
+    /// Run a closure against the sharded kernel (advanced / test use; see
+    /// [`ShardedKernel::with_shard`] to reach one shard).
     pub fn with_sharded_kernel<R>(&self, f: impl FnOnce(&ShardedKernel) -> R) -> R {
         let result = f(&self.shared.kernel);
         self.deliver_events();
@@ -984,80 +888,10 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Session internals (reached through `Transaction`)
+    // The waiter rendezvous (reached through `Session`)
     // ------------------------------------------------------------------
 
-    /// Gate a new submission on the session's previous one.
-    ///
-    /// A `delivered` entry exists when an earlier request settled while no
-    /// thread was parked and the caller never claimed it with
-    /// [`Transaction::settle_pending`]. A stale *abort* makes the whole
-    /// transaction dead and is surfaced now; a stale *result* was
-    /// deliberately left unclaimed and is discarded so it cannot be
-    /// mistaken for the outcome of the submission that follows.
-    ///
-    /// While a non-blocking submission is still **pending** (blocked
-    /// inside a shard kernel, no outcome delivered yet), the submission is
-    /// rejected with the same `InvalidState { state: Blocked }` error the
-    /// unsharded kernel returns — without this gate, a request routed to a
-    /// *different* shard would be admitted there, because only the shard
-    /// holding the pending request knows the transaction is blocked.
-    pub(crate) fn admit_submission(
-        &self,
-        txn: &SessionCore,
-        action: &'static str,
-    ) -> Result<(), CoreError> {
-        let id = txn.id;
-        let delivered = self.shared.take_delivered(id);
-        if txn.pending.get() {
-            return match delivered {
-                Some(RequestOutcome::Executed { .. }) => {
-                    // Settled while unclaimed: the stale result is
-                    // discarded and the session is submittable again.
-                    txn.pending.set(false);
-                    Ok(())
-                }
-                Some(RequestOutcome::Aborted { reason }) => {
-                    txn.pending.set(false);
-                    Err(CoreError::Aborted { txn: id, reason })
-                }
-                Some(RequestOutcome::Blocked { .. }) => {
-                    unreachable!("blocked outcomes are never delivered")
-                }
-                None => Err(CoreError::InvalidState {
-                    txn: id,
-                    state: TxnState::Blocked,
-                    action,
-                }),
-            };
-        }
-        match delivered {
-            Some(RequestOutcome::Aborted { reason }) => {
-                Err(CoreError::Aborted { txn: id, reason })
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Enroll the session's transaction into a shard if its session-local
-    /// cache has not seen the shard yet. Steady state (every shard already
-    /// touched) skips the coordinator entirely: the only lock an exec
-    /// takes is the owning shard's.
-    fn ensure_session_enrolled(
-        &self,
-        txn: &SessionCore,
-        shard: u32,
-        action: &'static str,
-    ) -> Result<(), CoreError> {
-        if txn.enrolled.borrow().contains(&shard) {
-            return Ok(());
-        }
-        self.shared.kernel.ensure_enrolled(txn.id, shard, action)?;
-        txn.enrolled.borrow_mut().push(shard);
-        Ok(())
-    }
-
-    pub(crate) fn check_loc(&self, loc: ObjectLoc) -> Result<(), CoreError> {
+    fn check_loc(&self, loc: ObjectLoc) -> Result<(), CoreError> {
         if (loc.shard as usize) < self.shared.kernel.shard_count() {
             Ok(())
         } else {
@@ -1069,67 +903,15 @@ impl Database {
         }
     }
 
-    /// Snapshot-path routing shared by the sync and async exec paths: for
-    /// a snapshot session, try the multi-version read first. `Ok(Some)` is
-    /// the settled result; `Ok(None)` (not a snapshot session, not a pure
-    /// observer, or an object this transaction has written) falls through
-    /// to the classified path.
-    fn snapshot_read_raw(
-        &self,
-        txn: &SessionCore,
-        loc: ObjectLoc,
-        call: &OpCall,
-    ) -> Result<Option<OpResult>, CoreError> {
-        if txn.snapshot.is_none() {
-            return Ok(None);
-        }
-        let result = self.shared.kernel.snapshot_read(txn.id, loc, call);
-        // Deliver before `?`: an SSI abort inside the read releases the
-        // transaction's claims, and the resulting grants to blocked
-        // sessions sit in the event queue.
-        self.deliver_events();
-        result
-    }
-
-    fn exec_call_raw(
-        &self,
-        txn: &SessionCore,
-        loc: ObjectLoc,
-        call: OpCall,
-    ) -> Result<OpResult, CoreError> {
-        let id = txn.id;
-        self.check_loc(loc)?;
-        self.admit_submission(txn, "request an operation")?;
-        if let Some(result) = self.snapshot_read_raw(txn, loc, &call)? {
-            return Ok(result);
-        }
-        self.ensure_session_enrolled(txn, loc.shard, "request an operation")?;
-        // Deliver before `?`: a rejected request can still have mutated the
-        // kernel (a `Requester`-policy conflict aborts the requester, which
-        // releases its claims and settles other sessions' waiters), so the
-        // generated events must be drained on the error path too. Skipping
-        // delivery here strands those waiters until the *next* kernel entry
-        // — which never comes if this thread was the last one in.
-        let outcome = self.shared.kernel.request_enrolled(id, loc, call);
-        self.deliver_events();
-        let outcome = match outcome? {
-            RequestOutcome::Blocked { .. } => self.park_for_outcome(id),
-            settled => settled,
-        };
-        outcome.into_result(id)
-    }
-
     /// Claim the settled outcome for `txn`'s pending request if it has
     /// already been delivered, or register a fresh [`WaiterSlot`] to wait
     /// on.
     ///
     /// This is the database's **single rendezvous seam**: every waiting
-    /// path — per-call exec, grouped submission, `settle_pending`, their
-    /// async counterparts, and every shard-originated wakeup — funnels
-    /// through this one claim/register pair. The sync front-end parks the
-    /// OS thread on the returned slot ([`Database::park_for_outcome`]);
-    /// the async front-end polls it ([`WaiterSlot::poll_outcome`]).
-    pub(crate) fn claim_or_wait(&self, txn: TxnId) -> Result<RequestOutcome, Arc<WaiterSlot>> {
+    /// path — per-call exec, grouped submission, `settle_pending`, on
+    /// either front-end — reaches it through [`Session::settled`], and
+    /// every shard-originated wakeup fills the slot it registers.
+    fn claim_or_wait(&self, txn: TxnId) -> Result<RequestOutcome, Arc<WaiterSlot>> {
         // The claim half of the rendezvous: a fill by a concurrent
         // deliverer may land just before or just after this window.
         chaos::reach(ChaosPoint::RendezvousClaim, Some(txn));
@@ -1149,10 +931,9 @@ impl Database {
                 // Wait on a private slot: whichever thread later drains
                 // the kernel event that settles this transaction fills
                 // the slot and wakes only this session. One slot per
-                // transaction — the sync session is `!Sync` and the async
-                // session's `waiting` flag rejects a second awaiter, so an
-                // existing entry here would be a front-end bug that
-                // orphans the first waiter.
+                // transaction — the session's `waiting` flag rejects a
+                // second awaiter, so an existing entry here would be a
+                // session bug that orphans the first waiter.
                 let slot = Arc::new(WaiterSlot::default());
                 let previous = sessions.waiters.insert(txn, slot.clone());
                 debug_assert!(
@@ -1164,14 +945,10 @@ impl Database {
         }
     }
 
-    /// Unregister an async waiter that is being cancelled (its future was
-    /// dropped before the outcome arrived). Returns the outcome if the
-    /// delivery raced the cancellation and already filled the slot.
-    pub(crate) fn cancel_wait(
-        &self,
-        txn: TxnId,
-        slot: &Arc<WaiterSlot>,
-    ) -> Option<RequestOutcome> {
+    /// Unregister a waiter that is being cancelled (its future was dropped
+    /// before the outcome arrived). Returns the outcome if the delivery
+    /// raced the cancellation and already filled the slot.
+    fn cancel_wait(&self, txn: TxnId, slot: &Arc<WaiterSlot>) -> Option<RequestOutcome> {
         {
             let mut sessions = self.shared.sessions.lock();
             if let Some(registered) = sessions.waiters.get(&txn) {
@@ -1186,189 +963,6 @@ impl Database {
         // The deliverer removed the slot from the map before the lock was
         // acquired; the outcome (if any) is inside the slot itself.
         slot.try_take()
-    }
-
-    /// Take the settled outcome for `txn`'s pending request, parking the
-    /// calling OS thread if it has not settled yet (the sync half of the
-    /// rendezvous seam; [`crate::aio`] awaits the same slot instead).
-    fn park_for_outcome(&self, txn: TxnId) -> RequestOutcome {
-        match self.claim_or_wait(txn) {
-            Ok(outcome) => outcome,
-            Err(slot) => slot.await_outcome(),
-        }
-    }
-
-    pub(crate) fn try_exec_call_raw(
-        &self,
-        txn: &SessionCore,
-        loc: ObjectLoc,
-        call: OpCall,
-    ) -> Result<RequestOutcome, CoreError> {
-        let id = txn.id;
-        self.check_loc(loc)?;
-        self.admit_submission(txn, "request an operation")?;
-        if let Some(result) = self.snapshot_read_raw(txn, loc, &call)? {
-            return Ok(RequestOutcome::Executed {
-                result,
-                commit_deps: Vec::new(),
-            });
-        }
-        self.ensure_session_enrolled(txn, loc.shard, "request an operation")?;
-        // Deliver before `?` (see `exec_call_raw`): even a rejected request
-        // may have generated settlement events for other sessions.
-        let outcome = self.shared.kernel.request_enrolled(id, loc, call);
-        self.deliver_events();
-        let outcome = outcome?;
-        if outcome.is_blocked() {
-            txn.pending.set(true);
-        }
-        Ok(outcome)
-    }
-
-    fn settle_pending_raw(&self, txn: &SessionCore) -> Result<OpResult, CoreError> {
-        let id = txn.id;
-        if !txn.pending.get() {
-            return Err(CoreError::NoPendingOperation(id));
-        }
-        // There IS an operation in flight, so an outcome is guaranteed to
-        // be delivered (the thread that settles the request always runs
-        // `deliver_events` after publishing): parking cannot be lost, and
-        // no kernel-state check is needed — querying it here would race
-        // the delivery (settled-but-not-yet-delivered would look like
-        // "nothing pending").
-        let outcome = match self.shared.take_delivered(id) {
-            Some(outcome) => outcome,
-            None => self.park_for_outcome(id),
-        };
-        txn.pending.set(false);
-        outcome.into_result(id)
-    }
-
-    /// One kernel pass over a grouped submission's remaining calls:
-    /// admit, enroll, classify in one index walk per touched shard (see
-    /// [`ShardedKernel::request_batch_located`] and
-    /// [`crate::SchedulerKernel::request_batch`]).
-    ///
-    /// On [`BatchPass::MustWait`] the blocking terminator is the
-    /// transaction's pending request inside the kernel; the caller waits
-    /// for it to settle (parking or awaiting) and feeds the outcome back
-    /// through [`Database::batch_resume`]. This split is what lets the
-    /// sync and async batch loops share every line of batch logic and
-    /// differ only in *how* they sleep.
-    pub(crate) fn batch_pass(
-        &self,
-        txn: &SessionCore,
-        run: &mut BatchRun,
-    ) -> Result<BatchPass, CoreError> {
-        let id = txn.id;
-        self.admit_submission(txn, "submit a batch")?;
-        // Enrollment through the session cache: steady state takes no
-        // coordinator lock, exactly like the per-call exec path.
-        for loc in &run.locs {
-            self.check_loc(*loc)?;
-            self.ensure_session_enrolled(txn, loc.shard, "submit a batch")?;
-        }
-        if self.shared.declare_by_default {
-            run.declare_from_calls();
-        }
-        let locs_kept = run.locs.clone();
-        // Deliver before `?` (see `exec_call_raw`): a rejected batch may
-        // still have settled other sessions' waiters.
-        let outcome = match &run.declared {
-            Some(declared) => self.shared.kernel.request_batch_declared_enrolled(
-                id,
-                std::mem::take(&mut run.calls),
-                std::mem::take(&mut run.locs),
-                declared,
-            ),
-            None => self.shared.kernel.request_batch_enrolled(
-                id,
-                std::mem::take(&mut run.calls),
-                std::mem::take(&mut run.locs),
-            ),
-        };
-        self.deliver_events();
-        let outcome = outcome?;
-        run.results.extend(outcome.executed);
-        match outcome.stopped {
-            None => Ok(BatchPass::Complete),
-            Some(BatchStop::Aborted { reason, .. }) => {
-                Err(CoreError::Aborted { txn: id, reason })
-            }
-            Some(BatchStop::Blocked { rest, index, .. }) => {
-                // The unprocessed suffix keeps its original locations
-                // (`rest` is always a suffix of the submitted batch).
-                run.locs = locs_kept[index + 1..].to_vec();
-                debug_assert_eq!(run.locs.len(), rest.len());
-                run.calls = rest;
-                Ok(BatchPass::MustWait)
-            }
-        }
-    }
-
-    /// Feed the settled outcome of a batch's blocking terminator back into
-    /// the run. Returns `Ok(true)` when the batch is complete, `Ok(false)`
-    /// when the remaining suffix needs another [`Database::batch_pass`].
-    pub(crate) fn batch_resume(
-        &self,
-        txn: &SessionCore,
-        run: &mut BatchRun,
-        outcome: RequestOutcome,
-    ) -> Result<bool, CoreError> {
-        match outcome {
-            RequestOutcome::Executed { result, .. } => {
-                run.results.push(result);
-                Ok(run.calls.is_empty())
-            }
-            RequestOutcome::Aborted { reason } => {
-                Err(CoreError::Aborted { txn: txn.id, reason })
-            }
-            RequestOutcome::Blocked { .. } => {
-                unreachable!("blocked outcomes are never delivered")
-            }
-        }
-    }
-
-    /// Submit a group of calls, blocking as often as needed until every
-    /// call has executed (or the transaction aborts).
-    fn submit_batch_raw(
-        &self,
-        txn: &SessionCore,
-        group: BatchCalls,
-    ) -> Result<Vec<OpResult>, CoreError> {
-        let mut run = BatchRun::new(group);
-        loop {
-            match self.batch_pass(txn, &mut run)? {
-                BatchPass::Complete => return Ok(run.into_results()),
-                BatchPass::MustWait => {
-                    let outcome = self.park_for_outcome(txn.id);
-                    if self.batch_resume(txn, &mut run, outcome)? {
-                        return Ok(run.into_results());
-                    }
-                }
-            }
-        }
-    }
-
-    pub(crate) fn commit_raw(&self, txn: TxnId) -> Result<CommitOutcome, CoreError> {
-        let _ = self.shared.take_delivered(txn);
-        // Deliver before `?`: a commit whose vote aborts the *committer*
-        // (`Err(Aborted)`) has released the transaction's claims, and the
-        // resulting grants to blocked sessions are sitting in the event
-        // queue. They must be drained even though commit itself failed —
-        // found by the DST harness as a cross-session liveness hang when
-        // the aborted committer's session was the last thread to enter the
-        // kernel (seed 133's endless `poll T19` tail).
-        let outcome = self.shared.kernel.commit(txn);
-        self.deliver_events();
-        Ok(outcome?)
-    }
-
-    pub(crate) fn abort_raw(&self, txn: TxnId) -> Result<(), CoreError> {
-        let _ = self.shared.take_delivered(txn);
-        let result = self.shared.kernel.abort(txn);
-        self.deliver_events();
-        result
     }
 
     fn deliver_events(&self) {
@@ -1402,8 +996,8 @@ impl Database {
             events
         };
         // Claim the waiter slots under the sessions lock, but *fill* them
-        // (which signals condvars and runs arbitrary `Waker::wake` code of
-        // whatever executor the async front-end sits on) only after the
+        // (which runs arbitrary `Waker::wake` code of whatever executor
+        // the session sits on) only after the
         // lock is released — a waker that takes its own scheduling lock
         // must never be invoked under the database-wide sessions mutex,
         // or an executor polling into `claim_or_wait` on another thread
@@ -1441,7 +1035,7 @@ impl Database {
             }
         }
         // Exactly the waiters blocked on these transactions wake; every
-        // other parked invocation stays asleep. The claimed-but-unfilled
+        // other waiting invocation stays asleep. The claimed-but-unfilled
         // window (and each gap between two fills) is where a cancellation
         // or a second delivery can interleave — both chaos points sit in
         // exactly those gaps.
@@ -1449,6 +1043,380 @@ impl Database {
         for (txn, slot, outcome) in fills {
             chaos::reach(ChaosPoint::DeliverFill, Some(txn));
             slot.fill(outcome);
+        }
+    }
+}
+
+/// One transaction session: the single implementation behind both
+/// front-ends. A sync [`Transaction`] owns one and drives its futures
+/// with [`block_on`]; an [`crate::aio::AsyncTransaction`] shares one
+/// behind an `Rc` and awaits them. Every operation that can wait is an
+/// `async fn` here and nowhere else, so the two front-ends cannot differ
+/// in admission, blocking, wakeup or cancellation.
+///
+/// `Send` but `!Sync` (the `Cell`s): a session is driven by one thread at
+/// a time, and the enrollment cache needs no lock.
+#[derive(Debug)]
+pub(crate) struct Session {
+    db: Database,
+    id: TxnId,
+    /// Session-local cache of the shards this transaction is enrolled in.
+    /// Lets the steady-state exec path skip the cross-shard coordinator
+    /// (the cache is sound because enrollment only ever grows while the
+    /// transaction is live).
+    enrolled: RefCell<Vec<u32>>,
+    /// `true` while a submission is blocked inside a shard kernel with its
+    /// outcome unclaimed. Enforces the single-kernel contract across
+    /// shards (no further submissions while blocked — another shard's
+    /// kernel would not know) and lets settling skip a kernel-state query
+    /// that would race the outcome delivery.
+    pending: Cell<bool>,
+    /// `Some(begin stamp)` for sessions opened through `begin_snapshot`:
+    /// read-only operations route to the multi-version snapshot path
+    /// (reading the newest committed version at or below the stamp);
+    /// everything else takes the ordinary classified path.
+    snapshot: Option<u64>,
+    /// Set by a successful commit or an abort; disarms the drop-abort.
+    finished: Cell<bool>,
+    /// `true` while a [`Settled`] future holds the registered waiter slot.
+    /// A session has **one** waiter slot, so a second clone of an async
+    /// session trying to await concurrently (e.g. two `settle_pending`
+    /// calls racing) is rejected instead of silently overwriting the first
+    /// waiter's slot — which would strand the first future forever.
+    waiting: Cell<bool>,
+}
+
+impl Session {
+    /// The transaction this session drives.
+    pub(crate) fn id(&self) -> TxnId {
+        self.id
+    }
+
+    /// The transaction's current scheduler state.
+    pub(crate) fn state(&self) -> Option<TxnState> {
+        self.db.txn_state(self.id)
+    }
+
+    /// The snapshot begin stamp, for sessions opened through
+    /// `begin_snapshot`.
+    pub(crate) fn snapshot_stamp(&self) -> Option<u64> {
+        self.snapshot
+    }
+
+    /// Gate a new submission on the session's previous one.
+    ///
+    /// A `delivered` entry exists when an earlier request settled while no
+    /// session was waiting and the caller never claimed it with
+    /// `settle_pending`. A stale *abort* makes the whole transaction dead
+    /// and is surfaced now; a stale *result* was deliberately left
+    /// unclaimed and is discarded so it cannot be mistaken for the outcome
+    /// of the submission that follows.
+    ///
+    /// While a non-blocking submission is still **pending** (blocked
+    /// inside a shard kernel, no outcome delivered yet), the submission is
+    /// rejected with the same `InvalidState { state: Blocked }` error the
+    /// unsharded kernel returns — without this gate, a request routed to a
+    /// *different* shard would be admitted there, because only the shard
+    /// holding the pending request knows the transaction is blocked.
+    fn admit_submission(&self, action: &'static str) -> Result<(), CoreError> {
+        let id = self.id;
+        let delivered = self.db.shared.take_delivered(id);
+        if self.pending.get() {
+            return match delivered {
+                Some(RequestOutcome::Executed { .. }) => {
+                    // Settled while unclaimed: the stale result is
+                    // discarded and the session is submittable again.
+                    self.pending.set(false);
+                    Ok(())
+                }
+                Some(RequestOutcome::Aborted { reason }) => {
+                    self.pending.set(false);
+                    Err(CoreError::Aborted { txn: id, reason })
+                }
+                Some(RequestOutcome::Blocked { .. }) => {
+                    unreachable!("blocked outcomes are never delivered")
+                }
+                None => Err(CoreError::InvalidState {
+                    txn: id,
+                    state: TxnState::Blocked,
+                    action,
+                }),
+            };
+        }
+        match delivered {
+            Some(RequestOutcome::Aborted { reason }) => {
+                Err(CoreError::Aborted { txn: id, reason })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Enroll the transaction into a shard if the session-local cache has
+    /// not seen the shard yet. Steady state (every shard already touched)
+    /// skips the coordinator entirely: the only lock an exec takes is the
+    /// owning shard's.
+    fn ensure_enrolled(&self, shard: u32, action: &'static str) -> Result<(), CoreError> {
+        if self.enrolled.borrow().contains(&shard) {
+            return Ok(());
+        }
+        self.db
+            .shared
+            .kernel
+            .ensure_enrolled(self.id, shard, action)?;
+        self.enrolled.borrow_mut().push(shard);
+        Ok(())
+    }
+
+    /// Submit an operation without waiting and return the raw kernel
+    /// outcome. A [`RequestOutcome::Blocked`] request stays pending inside
+    /// the kernel until [`Session::settle_pending`] claims its outcome or
+    /// the next submission discards it.
+    pub(crate) fn try_exec_call(
+        &self,
+        object: &ObjectHandle,
+        call: OpCall,
+    ) -> Result<RequestOutcome, CoreError> {
+        let (id, loc) = (self.id, object.loc());
+        self.db.check_loc(loc)?;
+        self.admit_submission("request an operation")?;
+        // A snapshot session tries the multi-version read first; `None`
+        // (not a pure observer, or an object this transaction has written)
+        // falls through to the classified path.
+        if self.snapshot.is_some() {
+            let result = self.db.shared.kernel.snapshot_read(id, loc, &call);
+            // Deliver before `?`: an SSI abort inside the read releases the
+            // transaction's claims, and the resulting grants to blocked
+            // sessions sit in the event queue.
+            self.db.deliver_events();
+            if let Some(result) = result? {
+                return Ok(RequestOutcome::Executed {
+                    result,
+                    commit_deps: Vec::new(),
+                });
+            }
+        }
+        self.ensure_enrolled(loc.shard, "request an operation")?;
+        // Deliver before `?`: a rejected request can still have mutated the
+        // kernel (a `Requester`-policy conflict aborts the requester, which
+        // releases its claims and settles other sessions' waiters), so the
+        // generated events must be drained on the error path too. Skipping
+        // delivery here strands those waiters until the *next* kernel entry
+        // — which never comes if this session was the last one in.
+        let outcome = self.db.shared.kernel.request_enrolled(id, loc, call);
+        self.db.deliver_events();
+        let outcome = outcome?;
+        self.pending.set(outcome.is_blocked());
+        Ok(outcome)
+    }
+
+    /// Execute an operation, waiting while it conflicts with uncommitted
+    /// operations of other transactions.
+    pub(crate) async fn exec_call(
+        &self,
+        object: &ObjectHandle,
+        call: OpCall,
+    ) -> Result<OpResult, CoreError> {
+        match self.try_exec_call(object, call)? {
+            RequestOutcome::Blocked { .. } => self.settle_pending().await,
+            settled => settled.into_result(self.id),
+        }
+    }
+
+    /// Claim the outcome of the pending (blocked) submission, waiting
+    /// until it settles.
+    pub(crate) async fn settle_pending(&self) -> Result<OpResult, CoreError> {
+        if !self.pending.get() {
+            return Err(CoreError::NoPendingOperation(self.id));
+        }
+        // There IS an operation in flight, so an outcome is guaranteed to
+        // be delivered (the thread that settles the request always runs
+        // `deliver_events` after publishing): the wait cannot be lost, and
+        // no kernel-state check is needed — querying it here would race
+        // the delivery (settled-but-not-yet-delivered would look like
+        // "nothing pending").
+        let outcome = self.settled().await?;
+        self.pending.set(false);
+        outcome.into_result(self.id)
+    }
+
+    /// Submit a group of calls, waiting as often as needed until every
+    /// call has executed (or the transaction aborts).
+    ///
+    /// Each kernel pass admits, enrolls and classifies the remaining calls
+    /// in one index walk per touched shard (see
+    /// [`ShardedKernel::request_batch_located`] and
+    /// [`crate::SchedulerKernel::request_batch`]). A pass that stops on a
+    /// conflict leaves the blocking call as the transaction's pending
+    /// request; its outcome is settled like a blocked exec's, and the
+    /// unprocessed suffix goes through the next pass.
+    pub(crate) async fn submit_batch(
+        &self,
+        mut group: BatchCalls,
+    ) -> Result<Vec<OpResult>, CoreError> {
+        let id = self.id;
+        let mut results = Vec::with_capacity(group.calls.len());
+        while !group.calls.is_empty() {
+            self.admit_submission("submit a batch")?;
+            // Enrollment through the session cache: steady state takes no
+            // coordinator lock, exactly like the per-call exec path.
+            for loc in &group.locs {
+                self.db.check_loc(*loc)?;
+                self.ensure_enrolled(loc.shard, "submit a batch")?;
+            }
+            if self.db.shared.declare_by_default {
+                group.declare_from_calls();
+            }
+            let locs_kept = group.locs.clone();
+            let (calls, locs) = (
+                std::mem::take(&mut group.calls),
+                std::mem::take(&mut group.locs),
+            );
+            let kernel = &self.db.shared.kernel;
+            let outcome = match &group.declared {
+                Some(declared) => kernel.request_batch_declared_enrolled(id, calls, locs, declared),
+                None => kernel.request_batch_enrolled(id, calls, locs),
+            };
+            // Deliver before `?` (see `try_exec_call`): a rejected batch may
+            // still have settled other sessions' waiters.
+            self.db.deliver_events();
+            let outcome = outcome?;
+            results.extend(outcome.executed);
+            match outcome.stopped {
+                None => {}
+                Some(BatchStop::Aborted { reason, .. }) => {
+                    return Err(CoreError::Aborted { txn: id, reason })
+                }
+                Some(BatchStop::Blocked { rest, index, .. }) => {
+                    // The unprocessed suffix keeps its original locations
+                    // (`rest` is always a suffix of the submitted batch).
+                    group.locs = locs_kept[index + 1..].to_vec();
+                    debug_assert_eq!(group.locs.len(), rest.len());
+                    group.calls = rest;
+                    self.pending.set(true);
+                    results.push(self.settle_pending().await?);
+                }
+            }
+        }
+        Ok(results)
+    }
+
+    /// Commit the transaction (actual or pseudo-commit, per the protocol).
+    /// Never waits: a transaction whose commit dependencies are still live
+    /// pseudo-commits, and the kernel finishes the commit later.
+    ///
+    /// Success disarms the drop-abort. A commit can fail while the
+    /// transaction is still live — e.g. a `try_exec_call` left a blocked
+    /// request pending — and then the drop-abort stays armed, so the
+    /// failed session cannot leak a live transaction that would block
+    /// others forever.
+    pub(crate) fn commit(&self) -> Result<CommitOutcome, CoreError> {
+        let _ = self.db.shared.take_delivered(self.id);
+        // Deliver before `?`: a commit whose vote aborts the *committer*
+        // (`Err(Aborted)`) has released the transaction's claims, and the
+        // resulting grants to blocked sessions are sitting in the event
+        // queue. They must be drained even though commit itself failed —
+        // found by the DST harness as a cross-session liveness hang when
+        // the aborted committer's session was the last thread to enter the
+        // kernel (seed 133's endless `poll T19` tail).
+        let outcome = self.db.shared.kernel.commit(self.id);
+        self.db.deliver_events();
+        if outcome.is_ok() {
+            self.finished.set(true);
+        }
+        outcome
+    }
+
+    /// Abort the transaction. Never waits.
+    pub(crate) fn abort(&self) -> Result<(), CoreError> {
+        self.finished.set(true);
+        let _ = self.db.shared.take_delivered(self.id);
+        let result = self.db.shared.kernel.abort(self.id);
+        self.db.deliver_events();
+        result
+    }
+
+    /// The settled outcome of the pending request: claim an
+    /// already-delivered outcome, or register this session's waiter slot
+    /// and wait on it.
+    ///
+    /// Errors when another clone of an async session is already waiting:
+    /// a session has exactly one waiter slot, and a second registration
+    /// would orphan the first waiter.
+    async fn settled(&self) -> Result<RequestOutcome, CoreError> {
+        if self.waiting.get() {
+            return Err(CoreError::InvalidState {
+                txn: self.id,
+                state: TxnState::Blocked,
+                action: "await an outcome another clone is already awaiting",
+            });
+        }
+        match self.db.claim_or_wait(self.id) {
+            Ok(outcome) => Ok(outcome),
+            Err(slot) => {
+                self.waiting.set(true);
+                Ok(Settled {
+                    session: self,
+                    slot: Some(slot),
+                }
+                .await)
+            }
+        }
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        if !self.finished.get() {
+            // Best effort: the transaction may already be terminated (e.g.
+            // aborted by the scheduler, or pseudo-committed, which by
+            // construction cannot abort) — those errors are ignored.
+            let _ = self.abort();
+        }
+    }
+}
+
+/// Future for a session's registered waiter slot.
+///
+/// **Cancellation aborts**: dropping this future before it resolves
+/// leaves nobody to claim the outcome of a request that may stay blocked
+/// inside a shard kernel indefinitely — so the drop glue unregisters the
+/// waiter slot and aborts the transaction, which also unblocks every
+/// session waiting *on* this transaction. See the [`crate::aio`] module
+/// docs.
+struct Settled<'s> {
+    session: &'s Session,
+    /// `None` once the outcome has been taken.
+    slot: Option<Arc<WaiterSlot>>,
+}
+
+impl Future for Settled<'_> {
+    type Output = RequestOutcome;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<RequestOutcome> {
+        let this = self.get_mut();
+        let slot = this.slot.as_ref().expect("Settled polled after completion");
+        let outcome = std::task::ready!(slot.poll_outcome(cx));
+        this.slot = None;
+        this.session.waiting.set(false);
+        Poll::Ready(outcome)
+    }
+}
+
+impl Drop for Settled<'_> {
+    fn drop(&mut self) {
+        let Some(slot) = self.slot.take() else {
+            return;
+        };
+        let session = self.session;
+        session.waiting.set(false);
+        // Cancelled mid-wait. Unregister the slot first so the abort's own
+        // event delivery does not fill a waiter nobody owns anymore; an
+        // outcome that raced in is deliberately discarded — the caller
+        // abandoned it.
+        let _ = session.db.cancel_wait(session.id, &slot);
+        session.pending.set(false);
+        if !session.finished.get() {
+            let _ = session.abort();
         }
     }
 }
@@ -1463,37 +1431,56 @@ impl Database {
 ///
 /// A `Transaction` is driven by one thread at a time: it is `Send` (it may
 /// move between threads) but deliberately **not `Sync`** — two threads
-/// blocking on the same session would race for its single wakeup slot, so
+/// blocking on the same session would race for its single waiter slot, so
 /// sharing `&Transaction` across threads is a compile error. Start one
 /// session per thread instead; that is what the scheduler is for.
+///
+/// ```
+/// use sbcc_core::{Database, SchedulerConfig};
+/// let db = Database::new(SchedulerConfig::default());
+/// let txn = db.begin();
+/// std::thread::spawn(move || txn.commit()).join().unwrap().unwrap();
+/// ```
+///
+/// ```compile_fail,E0277
+/// use sbcc_core::{Database, SchedulerConfig};
+/// let db = Database::new(SchedulerConfig::default());
+/// let txn = db.begin();
+/// std::thread::scope(|s| {
+///     s.spawn(|| txn.id());
+/// });
+/// ```
 #[derive(Debug)]
 pub struct Transaction {
-    db: Database,
-    /// The session bookkeeping shared with the async front-end (id,
-    /// enrollment cache, pending-request flag); see [`SessionCore`].
-    core: SessionCore,
-    finished: bool,
-    /// Suppresses `Sync` (a `Cell` is `Send + !Sync`) without affecting
-    /// `Send`; see the type-level docs.
-    _not_sync: PhantomData<std::cell::Cell<()>>,
+    session: Session,
 }
+
+// The thread-safety contract of the handles: a sync session may move to
+// another thread, and database handles are shared freely.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    fn shared<T: Send + Sync + Clone>() {}
+    send::<Transaction>();
+    shared::<Database>();
+    shared::<crate::aio::AsyncDatabase>();
+};
 
 impl Transaction {
     /// The raw transaction id (for diagnostics and the inspection APIs on
     /// [`Database`]).
     pub fn id(&self) -> TxnId {
-        self.core.id()
+        self.session.id
     }
 
     /// The transaction's current scheduler state.
     pub fn state(&self) -> Option<TxnState> {
-        self.db.txn_state(self.id())
+        self.session.state()
     }
 
     /// The snapshot begin stamp for sessions opened through
     /// [`Database::begin_snapshot`], `None` for ordinary sessions.
     pub fn snapshot_stamp(&self) -> Option<u64> {
-        self.core.snapshot()
+        self.session.snapshot
     }
 
     /// Execute a typed operation, blocking while it conflicts with
@@ -1510,7 +1497,7 @@ impl Transaction {
     ///
     /// Typed [`Handle`]s coerce to [`ObjectHandle`], so this accepts both.
     pub fn exec_call(&self, object: &ObjectHandle, call: OpCall) -> Result<OpResult, CoreError> {
-        self.db.exec_call_raw(&self.core, object.loc(), call)
+        block_on(self.session.exec_call(object, call))
     }
 
     /// Submit an operation without blocking: returns the raw kernel
@@ -1524,7 +1511,7 @@ impl Transaction {
         object: &ObjectHandle,
         call: OpCall,
     ) -> Result<RequestOutcome, CoreError> {
-        self.db.try_exec_call_raw(&self.core, object.loc(), call)
+        self.session.try_exec_call(object, call)
     }
 
     /// Claim the outcome of a previously blocked submission
@@ -1533,12 +1520,12 @@ impl Transaction {
     /// settles if it has not yet. Returns
     /// [`CoreError::NoPendingOperation`] when there is nothing in flight.
     pub fn settle_pending(&self) -> Result<OpResult, CoreError> {
-        self.db.settle_pending_raw(&self.core)
+        block_on(self.session.settle_pending())
     }
 
-    /// Start building a grouped submission. See [`Batch`].
+    /// Start building a grouped submission. See [`BatchBuilder`].
     pub fn batch(&self) -> Batch<'_> {
-        Batch::new(self)
+        BatchBuilder::new(self)
     }
 
     /// Commit the transaction (actual or pseudo-commit, per the protocol).
@@ -1548,34 +1535,18 @@ impl Transaction {
     /// [`Transaction::try_exec_call`] left a blocked request pending — and
     /// in that case the guard still aborts on drop, so the failed session
     /// cannot leak a live transaction that would block others forever.
-    pub fn commit(mut self) -> Result<CommitOutcome, CoreError> {
-        let result = self.db.commit_raw(self.id());
-        self.finished = result.is_ok();
-        result
+    pub fn commit(self) -> Result<CommitOutcome, CoreError> {
+        self.session.commit()
     }
 
     /// Explicitly abort the transaction. Consumes the session.
-    pub fn abort(mut self) -> Result<(), CoreError> {
-        self.finished = true;
-        self.db.abort_raw(self.id())
+    pub fn abort(self) -> Result<(), CoreError> {
+        self.session.abort()
     }
 }
 
-impl Drop for Transaction {
-    fn drop(&mut self) {
-        if !self.finished {
-            // Best effort: the transaction may already be terminated (e.g.
-            // aborted by the scheduler, or pseudo-committed, which by
-            // construction cannot abort) — those errors are ignored.
-            let _ = self.db.abort_raw(self.id());
-        }
-    }
-}
-
-/// The builder core shared by the sync ([`Batch`]) and async
-/// ([`crate::aio::AsyncBatch`]) batch builders: the queued calls with
-/// their shard locations, kept parallel. One implementation of the
-/// call/location bookkeeping, so the two front-ends cannot diverge.
+/// The calls a grouped submission queues, with their shard locations kept
+/// parallel, plus the optional declared footprint.
 #[derive(Debug, Default)]
 pub(crate) struct BatchCalls {
     calls: Vec<BatchCall>,
@@ -1584,75 +1555,16 @@ pub(crate) struct BatchCalls {
     locs: Vec<ObjectLoc>,
     /// The declared access footprint, when the caller promised one (see
     /// [`sbcc_adt::AccessSet`]); `None` submits through the classified
-    /// path.
+    /// path. A resumed suffix re-submits under the same declaration.
     declared: Option<AccessSet<ObjectLoc>>,
 }
 
 impl BatchCalls {
-    /// Append a call aimed at the handle's object.
-    pub(crate) fn push(&mut self, object: &ObjectHandle, call: OpCall) {
-        self.calls.push(BatchCall::new(object.id(), call));
-        self.locs.push(object.loc());
-    }
-
-    /// Declare a read-only access to the handle's object.
-    pub(crate) fn declare_read(&mut self, object: &ObjectHandle) {
-        self.declared
-            .get_or_insert_with(AccessSet::new)
-            .declare_read(object.loc());
-    }
-
-    /// Declare a write access to the handle's object (covers reads too).
-    pub(crate) fn declare_write(&mut self, object: &ObjectHandle) {
-        self.declared
-            .get_or_insert_with(AccessSet::new)
-            .declare_write(object.loc());
-    }
-
-    /// Number of calls queued so far.
-    pub(crate) fn len(&self) -> usize {
-        self.calls.len()
-    }
-
-    /// `true` when no calls are queued.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.calls.is_empty()
-    }
-}
-
-/// The mutable state of an in-flight grouped submission, shared by the
-/// sync ([`Batch::submit`]) and async
-/// ([`crate::aio::AsyncBatch::submit`]) batch loops: the remaining calls
-/// with their shard locations, plus the results accumulated so far.
-/// Driven by [`Database::batch_pass`] / [`Database::batch_resume`].
-#[derive(Debug)]
-pub(crate) struct BatchRun {
-    calls: Vec<BatchCall>,
-    /// Shard locations, parallel to `calls`.
-    locs: Vec<ObjectLoc>,
-    /// The declared footprint, carried across every pass of the run (a
-    /// resumed suffix re-submits under the same declaration).
-    declared: Option<AccessSet<ObjectLoc>>,
-    results: Vec<OpResult>,
-}
-
-impl BatchRun {
-    pub(crate) fn new(group: BatchCalls) -> Self {
-        debug_assert_eq!(group.calls.len(), group.locs.len(), "one location per call");
-        let capacity = group.calls.len();
-        BatchRun {
-            calls: group.calls,
-            locs: group.locs,
-            declared: group.declared,
-            results: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// With no explicit declaration, derive one from the run's own call
-    /// list — every touched object declared written, which trivially
-    /// covers every call. Used by the `SBCC_DECLARED=1` leg to route
-    /// existing workloads through group admission unchanged.
-    pub(crate) fn declare_from_calls(&mut self) {
+    /// With no explicit declaration, derive one from the call list —
+    /// every touched object declared written, which trivially covers
+    /// every call. Used by the `SBCC_DECLARED=1` leg to route existing
+    /// workloads through group admission unchanged.
+    fn declare_from_calls(&mut self) {
         if self.declared.is_none() {
             let mut derived = AccessSet::new();
             for loc in &self.locs {
@@ -1661,23 +1573,6 @@ impl BatchRun {
             self.declared = Some(derived);
         }
     }
-
-    /// The accumulated results (one per submitted call, in order) of a
-    /// completed run.
-    pub(crate) fn into_results(self) -> Vec<OpResult> {
-        self.results
-    }
-}
-
-/// What a [`Database::batch_pass`] left behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BatchPass {
-    /// Every remaining call executed; the run is complete.
-    Complete,
-    /// A call blocked and is now the transaction's pending request; wait
-    /// for it to settle, then feed the outcome to
-    /// [`Database::batch_resume`].
-    MustWait,
 }
 
 /// Builder for a grouped submission: several operation calls — often
@@ -1685,23 +1580,30 @@ pub(crate) enum BatchPass {
 /// **one classification pass under one lock acquisition** instead of one
 /// kernel round-trip per call.
 ///
+/// One builder serves both front-ends: `T` is the session it submits
+/// through, [`Batch`] for a sync [`Transaction`] and
+/// [`crate::aio::AsyncBatch`] for an async one. The two `submit`s differ
+/// only in that the sync one blocks on the future the async one returns.
+///
 /// Calls execute in the order they were added. Admission is *partial* in
-/// exactly the way per-call submission is: a call that conflicts parks the
-/// session until the conflict clears, the already-executed prefix stays
-/// executed, and [`Batch::submit`] resumes the remainder afterwards — the
-/// returned results always cover every call, in order, unless the
-/// transaction is aborted (see
-/// [`crate::BatchOutcome`] for the precise kernel-level
-/// semantics).
+/// exactly the way per-call submission is: a call that conflicts makes
+/// the session wait until the conflict clears, the already-executed
+/// prefix stays executed, and `submit` resumes the remainder afterwards —
+/// the returned results always cover every call, in order, unless the
+/// transaction is aborted (see [`crate::BatchOutcome`] for the precise
+/// kernel-level semantics).
 #[derive(Debug)]
-pub struct Batch<'t> {
-    txn: &'t Transaction,
-    group: BatchCalls,
+pub struct BatchBuilder<T> {
+    pub(crate) txn: T,
+    pub(crate) group: BatchCalls,
 }
 
-impl Batch<'_> {
-    pub(crate) fn new(txn: &Transaction) -> Batch<'_> {
-        Batch {
+/// The sync grouped-submission builder; see [`BatchBuilder`].
+pub type Batch<'t> = BatchBuilder<&'t Transaction>;
+
+impl<T> BatchBuilder<T> {
+    pub(crate) fn new(txn: T) -> Self {
+        BatchBuilder {
             txn,
             group: BatchCalls::default(),
         }
@@ -1726,7 +1628,8 @@ impl Batch<'_> {
 
     /// Append an erased call (mutating form, for loops).
     pub fn add_call(&mut self, object: &ObjectHandle, call: OpCall) {
-        self.group.push(object, call);
+        self.group.calls.push(BatchCall::new(object.id(), call));
+        self.group.locs.push(object.loc());
     }
 
     /// Declare that this batch only *reads* `object` (chaining form).
@@ -1747,8 +1650,8 @@ impl Batch<'_> {
     }
 
     /// Declare that this batch may *write* `object` (chaining form; a
-    /// write declaration covers reads too). See [`Batch::declare_read`]
-    /// for the group-admission contract.
+    /// write declaration covers reads too). See
+    /// [`BatchBuilder::declare_read`] for the group-admission contract.
     pub fn declare_write(mut self, object: &ObjectHandle) -> Self {
         self.add_declare_write(object);
         self
@@ -1756,32 +1659,37 @@ impl Batch<'_> {
 
     /// Declare a read access (mutating form, for loops).
     pub fn add_declare_read(&mut self, object: &ObjectHandle) {
-        self.group.declare_read(object);
+        self.group
+            .declared
+            .get_or_insert_with(AccessSet::new)
+            .declare_read(object.loc());
     }
 
     /// Declare a write access (mutating form, for loops).
     pub fn add_declare_write(&mut self, object: &ObjectHandle) {
-        self.group.declare_write(object);
+        self.group
+            .declared
+            .get_or_insert_with(AccessSet::new)
+            .declare_write(object.loc());
     }
 
     /// Number of calls queued so far.
     pub fn len(&self) -> usize {
-        self.group.len()
+        self.group.calls.len()
     }
 
     /// `true` when no calls are queued.
     pub fn is_empty(&self) -> bool {
-        self.group.is_empty()
+        self.group.calls.is_empty()
     }
+}
 
+impl Batch<'_> {
     /// Submit the group, blocking until **every** call has executed.
     /// Returns one result per call, in submission order, or the abort
     /// error if the scheduler aborts the transaction along the way.
     pub fn submit(self) -> Result<Vec<OpResult>, CoreError> {
-        if self.group.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.txn.db.submit_batch_raw(&self.txn.core, self.group)
+        block_on(self.txn.session.submit_batch(self.group))
     }
 }
 

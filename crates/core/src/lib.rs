@@ -19,12 +19,12 @@
 //!   sharded kernel: typed [`Handle`]s, [`Transaction`] guards that
 //!   auto-abort on drop, grouped submission via [`Transaction::batch`],
 //!   and the [`Database::run`] retry runner (see the [`db`] module docs
-//!   for the full session model and the migration table from the old
-//!   free-function API).
+//!   for the full session model).
 //! * [`aio::AsyncDatabase`] — the **async** session front-end over the
-//!   same database: operations are futures that suspend instead of
-//!   parking OS threads, so one executor thread multiplexes thousands of
-//!   in-flight transactions. Ships an executor-agnostic API plus a
+//!   same database and the same session implementation (a sync
+//!   [`Transaction`] is [`aio::block_on`] over it): operations are
+//!   futures that suspend instead of parking OS threads, so one executor
+//!   thread multiplexes thousands of in-flight transactions. Ships an executor-agnostic API plus a
 //!   minimal [`aio::block_on`] / [`aio::LocalExecutor`] harness (see the
 //!   [`aio`] module docs for the sync-vs-async migration table).
 //! * [`HistoryRecorder`] and the `verify_*` checkers — off-line validation
@@ -90,7 +90,7 @@ pub mod txn;
 
 pub use aio::{race, AsyncBatch, AsyncDatabase, AsyncTransaction, LocalExecutor, RaceWinner};
 pub use chaos::{ChaosHook, ChaosPoint, ClockHook, TimeoutPoint};
-pub use db::{Batch, Database, Handle, ObjectHandle, Transaction};
+pub use db::{Batch, BatchBuilder, Database, Handle, ObjectHandle, Transaction};
 pub use errors::CoreError;
 pub use events::{
     AbortReason, BatchOutcome, BatchStop, CommitOutcome, KernelEvent, RequestOutcome,

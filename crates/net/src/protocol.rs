@@ -540,6 +540,13 @@ impl Response {
 // Decoding
 // ---------------------------------------------------------------------
 
+/// Most elements a decoder reserves room for ahead of decoding them. A
+/// count prefix is untrusted: reserving `count` elements (or even one
+/// per remaining byte, at 24–56 B per element) lets one frame under
+/// [`MAX_FRAME_LEN`] claim tens of MiB before it fails. Past this cap a
+/// `Vec` grows only as elements actually decode.
+const PREALLOC_CAP: usize = 64;
+
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -595,9 +602,7 @@ impl<'a> Reader<'a> {
     fn call(&mut self) -> Result<OpCall, ProtoError> {
         let kind = self.u32()? as usize;
         let count = self.u32()? as usize;
-        // Cap the pre-allocation by what the buffer could possibly hold
-        // (1 byte per value minimum) so a lying count cannot balloon.
-        let mut params = Vec::with_capacity(count.min(self.buf.len() - self.pos));
+        let mut params = Vec::with_capacity(count.min(PREALLOC_CAP));
         for _ in 0..count {
             params.push(self.value()?);
         }
@@ -648,7 +653,7 @@ impl Request {
             0x05 => {
                 let txn = r.u64()?;
                 let count = r.u32()? as usize;
-                let mut ops = Vec::with_capacity(count.min(body.len()));
+                let mut ops = Vec::with_capacity(count.min(PREALLOC_CAP));
                 for _ in 0..count {
                     let object = r.string()?;
                     let call = r.call()?;
@@ -663,7 +668,7 @@ impl Request {
             0x0A => {
                 let txn = r.u64()?;
                 let count = r.u32()? as usize;
-                let mut ops = Vec::with_capacity(count.min(body.len()));
+                let mut ops = Vec::with_capacity(count.min(PREALLOC_CAP));
                 for _ in 0..count {
                     let object = r.string()?;
                     let call = r.call()?;
@@ -672,7 +677,7 @@ impl Request {
                 let mut sets = [Vec::new(), Vec::new()];
                 for set in &mut sets {
                     let count = r.u32()? as usize;
-                    set.reserve(count.min(body.len()));
+                    set.reserve(count.min(PREALLOC_CAP));
                     for _ in 0..count {
                         set.push(r.string()?);
                     }
@@ -705,7 +710,7 @@ impl Response {
             0x84 => Response::Result(r.result()?),
             0x85 => {
                 let count = r.u32()? as usize;
-                let mut rs = Vec::with_capacity(count.min(body.len()));
+                let mut rs = Vec::with_capacity(count.min(PREALLOC_CAP));
                 for _ in 0..count {
                     rs.push(r.result()?);
                 }
